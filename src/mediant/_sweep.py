@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from typing import Callable, Optional, TypeVar
@@ -27,7 +28,10 @@ def run_spans(span_fn: Callable[[str, int], T], depth: int, jobs: int) -> list[T
     """Apply span_fn over the partition, fanning out to processes when jobs > 1.
 
     span_fn must be a module-level function (the pool pickles it by name).
+    jobs is capped at the CPU count before the split, so the span count and
+    the pool size both follow the capped value.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     parts = spans(depth, jobs)
     if len(parts) == 1:
         prefix, span_depth = parts[0]

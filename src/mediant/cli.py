@@ -129,7 +129,17 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 def _cmd_locate(args: argparse.Namespace) -> int:
     value = ExtendedRational.parse(args.value)
     path = cw_locate(value) if args.tree == "cw" else sb_locate(value)
-    print(json.dumps({"path": path, "bfs_index": bfs_index(path)}))
+    index = bfs_index(path)
+    # Pythons without the int-to-str limit (before 3.10.7) print any size.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # Sized by bit length first, so the check never converts the number:
+    # 2^(3k) < 10^k, so only a narrow band needs the exact comparison.
+    if limit and index.bit_length() > 3 * limit and index >= 10**limit:
+        raise ValueError(
+            f"path of {len(path)} steps has a BFS index of more than {limit} digits,"
+            " the most Python prints (sys.get_int_max_str_digits)"
+        )
+    print(json.dumps({"path": path, "bfs_index": index}))
     return 0
 
 

@@ -39,7 +39,8 @@ def validate_path(path: Path) -> Path:
 
 def _check_entries(a: int, b: int, c: int, d: int) -> None:
     for entry in (a, b, c, d):
-        if not isinstance(entry, int):
+        # exact type: bool is an int subclass but not a matrix entry
+        if type(entry) is not int:
             raise TypeError("matrix entries must be integers")
         if entry < 0:
             raise ValueError("matrix entries must be non-negative")
@@ -71,12 +72,7 @@ class Mat2:
         _check_entries(a, b, c, d)
         if a * d - b * c not in (1, -1):
             raise ValueError(f"determinant must be +-1, got {a * d - b * c}")
-        m = cls.__new__(cls)
-        m.a = a
-        m.b = b
-        m.c = c
-        m.d = d
-        return m
+        return _trusted(a, b, c, d)
 
     @property
     def det(self) -> int:
@@ -88,7 +84,9 @@ class Mat2:
     def __mul__(self, other: "Mat2"):
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2.frame(
+        # Non-negative factors with determinant +-1 give a non-negative
+        # product with determinant +-1, so the entries need no re-check.
+        return _trusted(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -115,6 +113,16 @@ class Mat2:
 
     def __repr__(self) -> str:
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
+
+
+def _trusted(a: int, b: int, c: int, d: int) -> Mat2:
+    """Build without checks; only for entries already known to be valid."""
+    m = object.__new__(Mat2)
+    m.a = a
+    m.b = b
+    m.c = c
+    m.d = d
+    return m
 
 
 IDENTITY = Mat2(1, 0, 0, 1)

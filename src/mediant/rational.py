@@ -32,7 +32,8 @@ class ExtendedRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
-        if not isinstance(num, int) or not isinstance(den, int):
+        # exact type: rejects bool, and costs no more than isinstance
+        if type(num) is not int or type(den) is not int:
             raise TypeError("numerator and denominator must be integers")
         if num == 0 and den == 0:
             raise ValueError("0/0 is not an extended rational")

@@ -16,9 +16,12 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from ._sweep import earliest_failure, run_spans
+# from_path is not called here; it stays a module attribute because
+# perfbench/layers.py times calls through mediant.topograph.from_path by name.
 from .matrices import Mat2, Path, from_path, validate_path
 from .rational import ExtendedRational, is_z_distinct, mediant
-from .trees import sb_node
+from .shadows import farey_shadow
+from .trees import level_iter, sb_node
 
 __all__ = [
     "OrientedVertex",
@@ -33,9 +36,7 @@ __all__ = [
     "vertex_matrix",
 ]
 
-_ZERO = ExtendedRational(0, 1)
 _ONE = ExtendedRational(1, 1)
-_INF = ExtendedRational(1, 0)
 
 
 @dataclass(frozen=True)
@@ -120,15 +121,9 @@ def forward_tree(depth: int, prefix: Path = "") -> Iterator[OrientedVertex]:
 
 
 def _forward_tree(depth: int, prefix: Path) -> Iterator[OrientedVertex]:
-    left, right = _ZERO, _INF
-    forward = _ONE
-    for step in prefix:
-        if step == "L":
-            right = forward
-        else:
-            left = forward
-        forward = mediant(left, right)
-    states = [(prefix, left, right, forward)]
+    # The frame at a path is the Stern-Brocot descent's (lo, hi, value) there.
+    seed = sb_node(prefix)
+    states = [(prefix, seed.lo, seed.hi, seed.value)]
     for level in range(len(prefix), depth + 1):
         for path, left, right, forward in states:
             yield OrientedVertex(left=left, right=right, forward=forward, path=path)
@@ -213,24 +208,33 @@ def _frame_ok(v: OrientedVertex) -> bool:
 
 
 def _check_span(prefix: str, depth: int) -> tuple[int, int, int, int, int, Optional[str]]:
-    """Run the four per-frame checks over one subtree span."""
+    """Run the four per-frame checks over one subtree span.
+
+    The flow and the matrix tree are walked in lock step, so each frame is
+    compared with the matrix-tree node at the same path in O(1) work.
+    """
     frames = conj_bad = label_bad = mobius_bad = frame_bad = 0
     first: Optional[str] = None
-    for v in forward_tree(depth, prefix):
+    for v, node in zip(forward_tree(depth, prefix), level_iter("matrix", depth, prefix)):
         frames += 1
         hit = False
         try:
-            ok = conjugate_shadow(vertex_matrix(v)) == from_path(v.path)
+            matrix = vertex_matrix(v)
+        except (TypeError, ValueError):
+            matrix = None
+        try:
+            ok = matrix is not None and conjugate_shadow(matrix) == node.value
         except (TypeError, ValueError):
             ok = False
         if not ok:
             conj_bad += 1
             hit = True
-        if farey_label(v) != sb_node(v.path).value:
+        # farey_label is read from the module on every frame: tests replace it.
+        if farey_label(v) != farey_shadow(node.value):
             label_bad += 1
             hit = True
         try:
-            ok = vertex_matrix(v)(_ONE) == v.forward
+            ok = matrix is not None and matrix(_ONE) == v.forward
         except (TypeError, ValueError):
             ok = False
         if not ok:
@@ -248,9 +252,11 @@ def verify_topograph_proof(depth: int, jobs: int = 1) -> TopographReport:
     """Check the flow-to-matrix-tree correspondence exhaustively to `depth`.
 
     Per frame: the conjugated vertex matrix equals the matrix-tree node at
-    the same path; the peak label equals the Stern-Brocot value there; the
-    vertex matrix sends 1 to the forward label; and the frame invariants
-    (determinant -1, mediant structure, Z-distinctness) hold.
+    the same path; the peak label equals the Farey shadow (d+b)/(c+a) of the
+    matrix-tree node; the vertex matrix sends 1 to the forward label; and the
+    frame invariants (determinant -1, mediant structure, Z-distinctness)
+    hold.  The expected values come from the matrix tree, walked in lock
+    step with the flow, so they never depend on the flow being checked.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")

@@ -17,6 +17,7 @@ from .rational import ExtendedRational, mediant
 from .stern import fusc
 
 __all__ = [
+    "MAX_LOCATE_STEPS",
     "SBNode",
     "TreeNode",
     "best_approximation",
@@ -33,6 +34,12 @@ __all__ = [
 
 _ZERO = ExtendedRational(0, 1)
 _INF = ExtendedRational(1, 0)
+
+# Longest path cw_locate/sb_locate will spell out, one character per step.
+MAX_LOCATE_STEPS = 10**7
+
+_STEP_BITS = str.maketrans("LR", "01")
+_BIT_STEPS = str.maketrans("01", "LR")
 
 
 @dataclass(frozen=True)
@@ -56,21 +63,20 @@ class TreeNode:
 
 
 def bfs_index(path: Path) -> int:
-    """Breadth-first index of a path: 2^level - 1 + offset, root = 0."""
+    """Breadth-first index of a path: 2^level - 1 + offset, root = 0.
+
+    In binary, index + 1 is a 1 followed by the path with L as 0 and R as 1,
+    so one base-2 parse gives it in time linear in the path length.
+    """
     validate_path(path)
-    offset = 0
-    for step in path:
-        offset = offset * 2 + (step == "R")
-    return (1 << len(path)) - 1 + offset
+    return int("1" + path.translate(_STEP_BITS), 2) - 1
 
 
 def index_to_path(n: int) -> Path:
-    """Inverse of bfs_index."""
+    """Inverse of bfs_index: the binary digits of n + 1 after the leading 1."""
     if n < 0:
         raise ValueError("BFS index must be non-negative")
-    level = (n + 1).bit_length() - 1
-    offset = n + 1 - (1 << level)
-    return "".join("R" if (offset >> k) & 1 else "L" for k in range(level - 1, -1, -1))
+    return bin(n + 1)[3:].translate(_BIT_STEPS)
 
 
 def cw_value(path: Path) -> ExtendedRational:
@@ -103,7 +109,8 @@ def cw_locate(q: ExtendedRational) -> Path:
     Reverse subtractive Euclid: a/b with a > b is a right child of (a-b)/b,
     with a < b a left child of a/(b-a).  Runs of equal steps are taken in one
     division, so the cost is the number of continued-fraction terms, not the
-    path length.
+    path length.  A path longer than MAX_LOCATE_STEPS is refused with
+    ValueError before it is built.
     """
     _require_positive_finite(q)
     a, b = q.num, q.den
@@ -111,14 +118,24 @@ def cw_locate(q: ExtendedRational) -> Path:
     while a != b:
         if a > b:
             j = (a - 1) // b
-            runs.append("R" * j)
+            runs.append(("R", j))
             a -= j * b
         else:
             j = (b - 1) // a
-            runs.append("L" * j)
+            runs.append(("L", j))
             b -= j * a
     runs.reverse()
-    return "".join(runs)
+    return _spell(runs)
+
+
+def _spell(runs: list[tuple[str, int]]) -> Path:
+    """Join (step, count) runs into a path, refusing one over MAX_LOCATE_STEPS."""
+    steps = sum(j for _, j in runs)
+    if steps > MAX_LOCATE_STEPS:
+        raise ValueError(
+            f"path of {steps} steps is longer than the {MAX_LOCATE_STEPS} steps locate spells out"
+        )
+    return "".join(step * j for step, j in runs)
 
 
 def sb_node(path: Path) -> SBNode:
@@ -160,6 +177,7 @@ def sb_locate(q: ExtendedRational) -> Path:
     The descent (L when q is below the current mediant, R when above) is a
     continued-fraction expansion in disguise; each quotient is one run of
     equal steps, with the final run shortened by one to land on the node.
+    A path longer than MAX_LOCATE_STEPS is refused with ValueError.
     """
     _require_positive_finite(q)
     a, b = q.num, q.den
@@ -169,10 +187,10 @@ def sb_locate(q: ExtendedRational) -> Path:
         j, r = divmod(a, b)
         if r == 0:
             j -= 1
-        runs.append(step * j)
+        runs.append((step, j))
         step = "L" if step == "R" else "R"
         a, b = b, r
-    return "".join(runs)
+    return _spell(runs)
 
 
 def best_approximation(target_num: int, target_den: int, max_den: int) -> ExtendedRational:
@@ -273,9 +291,7 @@ def level_iter(kind: str, depth: int, prefix: Path = "") -> Iterator[TreeNode]:
 
 
 def _level_iter(seed, children, value_of, depth: int, prefix: Path) -> Iterator[TreeNode]:
-    offset = 0
-    for step in prefix:
-        offset = offset * 2 + (step == "R")
+    offset = bfs_index(prefix) + 1 - (1 << len(prefix))
     states = [(prefix, offset, seed(prefix))]
     for level in range(len(prefix), depth + 1):
         for path, offset, state in states:

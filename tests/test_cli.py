@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -269,3 +270,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "4\n"
+
+
+@pytest.mark.parametrize(
+    "tree, value, steps",
+    [
+        ("sb", "100000000000000000000/1", 10**20 - 1),  # over the locate step cap
+        ("sb", "10000000/1", 10**7 - 1),  # BFS index too long to print
+        ("cw", "20000/1", 19999),
+    ],
+)
+def test_locate_refuses_overlong_paths(tree, value, steps):
+    start = time.perf_counter()
+    code, out, err = run_cli("locate", "--tree", tree, value)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"path of {steps} steps" in err

@@ -173,3 +173,19 @@ def test_text_form():
 
 def test_mat2_hashable():
     assert len({from_path("LR"), multiply(R, L), Mat2(2, 1, 1, 1)}) == 1
+
+
+def test_bool_entries_rejected():
+    with pytest.raises(TypeError):
+        Mat2(True, 0, 0, True)
+    with pytest.raises(TypeError):
+        Mat2.frame(False, True, True, False)
+
+
+@settings(max_examples=200)
+@given(st.text(alphabet="LR", max_size=200))
+def test_products_pass_the_validating_constructor(p):
+    # __mul__ skips the entry and determinant checks; its results must
+    # still be monoid members
+    m = from_path(p)
+    assert Mat2(m.a, m.b, m.c, m.d) == m

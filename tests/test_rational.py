@@ -183,3 +183,10 @@ def test_farey_neighbors_z_distinct():
         row = farey_sequence(max_den)
         assert all(a < b for a, b in zip(row, row[1:]))
         assert all(is_z_distinct(a, b) for a, b in zip(row, row[1:]))
+
+
+def test_bool_rejected():
+    with pytest.raises(TypeError):
+        ExtendedRational(True, False)
+    with pytest.raises(TypeError):
+        ExtendedRational(1, True)

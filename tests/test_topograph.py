@@ -1,6 +1,7 @@
 import pytest
 
 import mediant.topograph
+import mediant.trees
 from mediant.matrices import IDENTITY, Mat2, from_path, generators
 from mediant.rational import ExtendedRational
 from mediant.topograph import (
@@ -236,3 +237,17 @@ def test_verify_reports_injected_fault(monkeypatch):
     assert report.conjugation_failures == 0
     assert report.first_failure_path == ""
     assert report.as_dict()["first_failure_path"] == ""
+
+
+def test_verify_catches_corrupted_matrix_tree(monkeypatch):
+    # the expected side comes from the matrix tree: swapping its children
+    # mirrors every path below the root, so every frame but the root fails
+    seed, children, value_of = mediant.trees._TREE_RULES["matrix"]
+    monkeypatch.setitem(
+        mediant.trees._TREE_RULES, "matrix", (seed, lambda m: children(m)[::-1], value_of)
+    )
+    report = verify_topograph_proof(4)
+    assert not report.ok
+    assert report.conjugation_failures == report.label_failures == 2**5 - 2
+    assert report.mobius_failures == report.frame_failures == 0
+    assert report.first_failure_path == "L"

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mediant.matrices import Mat2
 from mediant.rational import ExtendedRational, is_z_distinct, mediant
 from mediant.trees import (
+    MAX_LOCATE_STEPS,
     best_approximation,
     bfs_index,
     cw_locate,
@@ -307,3 +309,33 @@ def test_level_iter_validates_before_iteration():
 
 def test_level_iter_count():
     assert sum(1 for _ in level_iter("stern-brocot", 9)) == 2**10 - 1
+
+
+def _bfs_index_bit_loop(path):
+    offset = 0
+    for step in path:
+        offset = offset * 2 + (step == "R")
+    return (1 << len(path)) - 1 + offset
+
+
+def test_bfs_index_matches_bit_loop():
+    for level in range(11):
+        for word in product("LR", repeat=level):
+            path = "".join(word)
+            n = _bfs_index_bit_loop(path)
+            assert bfs_index(path) == n
+            assert index_to_path(n) == path
+    path = "".join(random.Random(5).choice("LR") for _ in range(10**5))
+    n = _bfs_index_bit_loop(path)
+    assert bfs_index(path) == n
+    assert index_to_path(n) == path
+
+
+def test_locate_refuses_paths_over_the_step_cap():
+    # n/1 sits at R^(n-1) in both trees
+    at_cap = er(MAX_LOCATE_STEPS + 1)
+    assert cw_locate(at_cap) == sb_locate(at_cap) == "R" * MAX_LOCATE_STEPS
+    for value in (er(MAX_LOCATE_STEPS + 2), er(10**20), er(1, 10**20)):
+        for locate in (cw_locate, sb_locate):
+            with pytest.raises(ValueError, match=r"path of \d+ steps"):
+                locate(value)

@@ -11,12 +11,9 @@ from .matrices import (
     IDENTITY,
     Mat2,
     Path,
-    apply_mobius,
     decompose,
     from_path,
     generators,
-    multiply,
-    transpose,
 )
 from .rational import (
     ExtendedRational,
@@ -24,7 +21,6 @@ from .rational import (
     farey_sequence,
     is_z_distinct,
     mediant,
-    reduce,
 )
 from .shadows import (
     TheoremReport,
@@ -60,6 +56,7 @@ from .trees import (
     sb_locate,
     sb_node,
     sb_row,
+    walk,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +73,6 @@ __all__ = [
     "TopographReport",
     "TreeNode",
     "Vertex",
-    "apply_mobius",
     "best_approximation",
     "bfs_index",
     "compare",
@@ -100,17 +96,15 @@ __all__ = [
     "is_z_distinct",
     "level_iter",
     "mediant",
-    "multiply",
     "neighbors",
-    "reduce",
     "sb_locate",
     "sb_node",
     "sb_row",
     "stern",
-    "transpose",
     "triples_containing",
     "verify_theorem",
     "verify_topograph_proof",
     "vertex_matrix",
+    "walk",
     "__version__",
 ]

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .rational import ExtendedRational, farey_sequence
+from .rational import ExtendedRational, _parse_int, farey_sequence
 from .shadows import verify_theorem
 from .stern import fusc, stern
 from .topograph import forward_tree, verify_topograph_proof
@@ -107,10 +107,10 @@ def parse_target(text: str) -> ExtendedRational:
     decimal = _DECIMAL_RE.match(text)
     if decimal:
         sign, whole, frac = decimal.groups()
-        num = int(whole + frac)
+        num = _parse_int(whole + frac)
         return ExtendedRational(-num if sign else num, 10 ** len(frac))
     if _INT_RE.match(text):
-        return ExtendedRational(int(text), 1)
+        return ExtendedRational(_parse_int(text), 1)
     return ExtendedRational.parse(text)
 
 

@@ -14,12 +14,9 @@ __all__ = [
     "IDENTITY",
     "Mat2",
     "Path",
-    "apply_mobius",
     "decompose",
     "from_path",
     "generators",
-    "multiply",
-    "transpose",
     "validate_path",
 ]
 
@@ -94,7 +91,7 @@ class Mat2:
         )
 
     def __call__(self, x: ExtendedRational) -> ExtendedRational:
-        """Moebius action p/q -> (a*p + b*q)/(c*p + d*q) on extended rationals."""
+        """Moebius action p/q -> (a*p + b*q)/(c*p + d*q): 1/0 -> a/c, 0/1 -> b/d."""
         return ExtendedRational(
             self.a * x.num + self.b * x.den,
             self.c * x.num + self.d * x.den,
@@ -133,19 +130,6 @@ _GEN_R = Mat2(1, 1, 0, 1)
 def generators() -> tuple[Mat2, Mat2]:
     """The free generator pair (L, R) = ((1 0; 1 1), (1 1; 0 1))."""
     return _GEN_L, _GEN_R
-
-
-def multiply(m: Mat2, n: Mat2) -> Mat2:
-    return m * n
-
-
-def transpose(m: Mat2) -> Mat2:
-    return m.transpose()
-
-
-def apply_mobius(m: Mat2, x: ExtendedRational) -> ExtendedRational:
-    """p/q -> (a*p + b*q)/(c*p + d*q); sends 1/0 to a/c and 0/1 to b/d."""
-    return m(x)
 
 
 def from_path(path: Path) -> Mat2:

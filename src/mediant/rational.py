@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 __all__ = [
     "ExtendedRational",
@@ -11,7 +12,6 @@ __all__ = [
     "farey_sequence",
     "is_z_distinct",
     "mediant",
-    "reduce",
 ]
 
 _FRACTION_RE = re.compile(r"(-?\d+)/(\d+)\Z")
@@ -56,7 +56,7 @@ class ExtendedRational:
         m = _FRACTION_RE.match(text.strip())
         if m is None:
             raise ValueError(f"not a fraction: {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)))
+        return cls(_parse_int(m.group(1)), _parse_int(m.group(2)))
 
     @property
     def is_infinite(self) -> bool:
@@ -103,9 +103,21 @@ class ExtendedRational:
         return f"ExtendedRational({self.num}, {self.den})"
 
 
-def reduce(num: int, den: int) -> ExtendedRational:
-    """The canonical reduced representative of num/den (sign on num, den >= 0)."""
-    return ExtendedRational(num, den)
+def _parse_int(digits: str) -> int:
+    """int() of an optionally signed decimal digit string.
+
+    A string longer than Python converts (sys.get_int_max_str_digits) is
+    refused with a ValueError that names its digit count, before int() sees it.
+    """
+    # Pythons without the limit (before 3.10.7) convert any length.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    count = len(digits) - digits.startswith("-")
+    if limit and count > limit:
+        raise ValueError(
+            f"number of {count} digits is longer than the {limit} digits Python converts"
+            " (sys.get_int_max_str_digits)"
+        )
+    return int(digits)
 
 
 def compare(x: ExtendedRational, y: ExtendedRational) -> int:

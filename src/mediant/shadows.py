@@ -9,11 +9,10 @@ against the trees built by the tree engine.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
-from ._sweep import earliest_failure, run_spans
+from ._sweep import SweepReport, sweep
 from .matrices import Mat2
 from .rational import ExtendedRational
 from .trees import level_iter
@@ -51,7 +50,7 @@ def farey_shadow_mobius(m: Mat2) -> ExtendedRational:
 
 
 @dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(SweepReport):
     """Outcome of one exhaustive shadow-vs-tree sweep."""
 
     depth: int
@@ -60,22 +59,6 @@ class TheoremReport:
     farey_failures: int
     first_failure_path: Optional[str]
     elapsed_s: float
-
-    @property
-    def ok(self) -> bool:
-        return self.cw_failures == 0 and self.farey_failures == 0
-
-    def as_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "depth": self.depth,
-            "nodes": self.nodes,
-            "cw_failures": self.cw_failures,
-            "farey_failures": self.farey_failures,
-        }
-        if self.first_failure_path is not None:
-            out["first_failure_path"] = self.first_failure_path
-        out["elapsed_s"] = self.elapsed_s
-        return out
 
 
 def _check_span(prefix: str, depth: int) -> tuple[int, int, int, Optional[str]]:
@@ -108,17 +91,4 @@ def verify_theorem(depth: int, jobs: int = 1) -> TheoremReport:
     from the tree engine's own child rules, the actual values from the shadow
     formulas applied to from_path.  jobs > 1 shards the sweep by subtree.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    start = time.perf_counter()
-    parts = run_spans(_check_span, depth, jobs)
-    return TheoremReport(
-        depth=depth,
-        nodes=sum(p[0] for p in parts),
-        cw_failures=sum(p[1] for p in parts),
-        farey_failures=sum(p[2] for p in parts),
-        first_failure_path=earliest_failure([p[3] for p in parts]),
-        elapsed_s=time.perf_counter() - start,
-    )
+    return sweep(TheoremReport, _check_span, depth, jobs)

@@ -18,20 +18,20 @@ def _stern_pair(n: int) -> tuple[int, int]:
     return a, b
 
 
+_HORIZON = 1 << 20
+
+
 class SternTable:
     """Dense memo of the diatomic sequence.
 
     s(0) = 0, s(1) = 1, s(2n) = s(n), s(2n+1) = s(n) + s(n+1).  The table
-    grows on demand up to ``horizon``; larger indices fall back to the
+    grows on demand up to _HORIZON; larger indices fall back to the
     logarithmic pair descent and are not stored.  Growth is lock-guarded so
     the table may be shared between threads.
     """
 
-    def __init__(self, horizon: int = 1 << 20):
-        if horizon < 2:
-            raise ValueError("horizon must be >= 2")
+    def __init__(self):
         self._values = [0, 1]
-        self._horizon = horizon
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -40,7 +40,7 @@ class SternTable:
     def value(self, n: int) -> int:
         if n < 0:
             raise ValueError("sequence index must be non-negative")
-        if n >= self._horizon:
+        if n >= _HORIZON:
             return _stern_pair(n)[0]
         if n >= len(self._values):
             self._grow(n)

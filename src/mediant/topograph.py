@@ -11,17 +11,16 @@ and verify_topograph_proof checks that correspondence exhaustively.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
-from ._sweep import earliest_failure, run_spans
-# from_path is not called here; it stays a module attribute because
-# perfbench/layers.py times calls through mediant.topograph.from_path by name.
-from .matrices import Mat2, Path, from_path, validate_path
-from .rational import ExtendedRational, is_z_distinct, mediant
+from ._sweep import SweepReport, sweep
+# from_path and sb_node are not called here; they stay module attributes
+# because perfbench/layers.py times calls through mediant.topograph by name.
+from .matrices import Mat2, Path, from_path
+from .rational import ExtendedRational, is_z_distinct
 from .shadows import farey_shadow
-from .trees import level_iter, sb_node
+from .trees import level_iter, sb_node, walk
 
 __all__ = [
     "OrientedVertex",
@@ -108,35 +107,15 @@ def forward_tree(depth: int, prefix: Path = "") -> Iterator[OrientedVertex]:
 
     Root frame (left 0/1, right 1/0, forward 1/1).  The left child keeps the
     left label and advances across the edge {left, forward}; the right child
-    keeps the right label.  Yields 2^(depth+1) - 1 frames for levels
-    0..depth; a non-empty `prefix` restricts to that subtree, as in
-    trees.level_iter.
+    keeps the right label.  That is the Stern-Brocot bounds descent, so each
+    frame is read off trees.walk("stern-brocot") as (lo, hi, value).  Yields
+    2^(depth+1) - 1 frames for levels 0..depth; a non-empty `prefix`
+    restricts to that subtree, as in trees.level_iter.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    validate_path(prefix)
-    if len(prefix) > depth:
-        raise ValueError("prefix cannot be longer than depth")
-    return _forward_tree(depth, prefix)
-
-
-def _forward_tree(depth: int, prefix: Path) -> Iterator[OrientedVertex]:
-    # The frame at a path is the Stern-Brocot descent's (lo, hi, value) there.
-    seed = sb_node(prefix)
-    states = [(prefix, seed.lo, seed.hi, seed.value)]
-    for level in range(len(prefix), depth + 1):
-        for path, left, right, forward in states:
-            yield OrientedVertex(left=left, right=right, forward=forward, path=path)
-        if level == depth:
-            break
-        states = [
-            child
-            for path, left, right, forward in states
-            for child in (
-                (path + "L", left, forward, mediant(left, forward)),
-                (path + "R", forward, right, mediant(forward, right)),
-            )
-        ]
+    return (
+        OrientedVertex(left, right, forward, path)
+        for path, (left, right, forward) in walk("stern-brocot", depth, prefix)
+    )
 
 
 def farey_label(v: OrientedVertex) -> ExtendedRational:
@@ -162,7 +141,7 @@ def conjugate_shadow(m: Mat2) -> Mat2:
 
 
 @dataclass(frozen=True)
-class TopographReport:
+class TopographReport(SweepReport):
     """Outcome of one exhaustive forward-flow sweep."""
 
     depth: int
@@ -173,29 +152,6 @@ class TopographReport:
     frame_failures: int
     first_failure_path: Optional[str]
     elapsed_s: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.conjugation_failures == 0
-            and self.label_failures == 0
-            and self.mobius_failures == 0
-            and self.frame_failures == 0
-        )
-
-    def as_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "depth": self.depth,
-            "frames": self.frames,
-            "conjugation_failures": self.conjugation_failures,
-            "label_failures": self.label_failures,
-            "mobius_failures": self.mobius_failures,
-            "frame_failures": self.frame_failures,
-        }
-        if self.first_failure_path is not None:
-            out["first_failure_path"] = self.first_failure_path
-        out["elapsed_s"] = self.elapsed_s
-        return out
 
 
 def _frame_ok(v: OrientedVertex) -> bool:
@@ -258,19 +214,4 @@ def verify_topograph_proof(depth: int, jobs: int = 1) -> TopographReport:
     hold.  The expected values come from the matrix tree, walked in lock
     step with the flow, so they never depend on the flow being checked.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    start = time.perf_counter()
-    parts = run_spans(_check_span, depth, jobs)
-    return TopographReport(
-        depth=depth,
-        frames=sum(p[0] for p in parts),
-        conjugation_failures=sum(p[1] for p in parts),
-        label_failures=sum(p[2] for p in parts),
-        mobius_failures=sum(p[3] for p in parts),
-        frame_failures=sum(p[4] for p in parts),
-        first_failure_path=earliest_failure([p[5] for p in parts]),
-        elapsed_s=time.perf_counter() - start,
-    )
+    return sweep(TopographReport, _check_span, depth, jobs)

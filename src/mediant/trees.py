@@ -10,7 +10,7 @@ exactly once, which is what makes locate well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Any, Iterator, Union
 
 from .matrices import Mat2, Path, from_path, generators, validate_path
 from .rational import ExtendedRational, mediant
@@ -30,6 +30,7 @@ __all__ = [
     "sb_locate",
     "sb_node",
     "sb_row",
+    "walk",
 ]
 
 _ZERO = ExtendedRational(0, 1)
@@ -56,10 +57,20 @@ class SBNode:
 
 @dataclass(frozen=True)
 class TreeNode:
+    """A tree node: its path and its value (ExtendedRational, or Mat2 in the
+    matrix tree).  Level and tree-global offset are read off the path."""
+
     path: Path
     value: Union[ExtendedRational, Mat2]
-    level: int
-    offset: int
+
+    @property
+    def level(self) -> int:
+        return len(self.path)
+
+    @property
+    def offset(self) -> int:
+        """Position within the level, counted from the left end of the whole tree."""
+        return bfs_index(self.path) + 1 - (1 << len(self.path))
 
 
 def bfs_index(path: Path) -> int:
@@ -269,17 +280,16 @@ _TREE_RULES = {
 }
 
 
-def level_iter(kind: str, depth: int, prefix: Path = "") -> Iterator[TreeNode]:
-    """Yield TreeNode values level by level, left to right, levels 0..depth.
+def walk(kind: str, depth: int, prefix: Path = "") -> Iterator[tuple[Path, Any]]:
+    """Yield (path, state) level by level, left to right, levels |prefix|..depth.
 
-    The whole tree by default: exactly 2^(depth+1) - 1 nodes.  `kind` is one
-    of "calkin-wilf", "stern-brocot" or "matrix"; the matrix tree yields Mat2
-    values.  A non-empty `prefix` restricts the sweep to that subtree (levels
-    |prefix|..depth, offsets still tree-global), which is how verification
-    shards work across processes.
+    The one breadth-first engine behind level_iter and topograph.forward_tree.
+    `kind` names an entry of _TREE_RULES, read at call time; the state is that
+    rule's raw node: an (a, b) pair, an (lo, hi, value) triple or a Mat2.
+    Arguments are checked here, before the first node is produced.
     """
     try:
-        seed, children, value_of = _TREE_RULES[kind]
+        seed, children, _ = _TREE_RULES[kind]
     except KeyError:
         raise ValueError(f"unknown tree kind: {kind!r}") from None
     if depth < 0:
@@ -287,19 +297,31 @@ def level_iter(kind: str, depth: int, prefix: Path = "") -> Iterator[TreeNode]:
     validate_path(prefix)
     if len(prefix) > depth:
         raise ValueError("prefix cannot be longer than depth")
-    return _level_iter(seed, children, value_of, depth, prefix)
+    return _walk(seed, children, depth, prefix)
 
 
-def _level_iter(seed, children, value_of, depth: int, prefix: Path) -> Iterator[TreeNode]:
-    offset = bfs_index(prefix) + 1 - (1 << len(prefix))
-    states = [(prefix, offset, seed(prefix))]
-    for level in range(len(prefix), depth + 1):
-        for path, offset, state in states:
-            yield TreeNode(path=path, value=value_of(state), level=level, offset=offset)
-        if level == depth:
-            break
+def _walk(seed, children, depth: int, prefix: Path) -> Iterator[tuple[Path, Any]]:
+    states = [(prefix, seed(prefix))]
+    for _ in range(len(prefix), depth):
+        yield from states
         states = [
-            (path + step, offset * 2 + (step == "R"), child)
-            for path, offset, state in states
+            (path + step, child)
+            for path, state in states
             for step, child in zip("LR", children(state))
         ]
+    yield from states
+
+
+def level_iter(kind: str, depth: int, prefix: Path = "") -> Iterator[TreeNode]:
+    """Yield TreeNode values level by level, left to right, levels 0..depth.
+
+    The whole tree by default: exactly 2^(depth+1) - 1 nodes.  `kind` is one
+    of "calkin-wilf", "stern-brocot" or "matrix"; the matrix tree yields Mat2
+    values.  A non-empty `prefix` restricts the sweep to that subtree (levels
+    |prefix|..depth), which is how verification shards work across
+    processes; each node's offset still counts from the left end of the
+    whole tree.
+    """
+    states = walk(kind, depth, prefix)
+    value_of = _TREE_RULES[kind][2]
+    return (TreeNode(path, value_of(state)) for path, state in states)

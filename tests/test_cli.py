@@ -286,3 +286,22 @@ def test_locate_refuses_overlong_paths(tree, value, steps):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:") and f"path of {steps} steps" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["locate", "--tree", "cw", "1" * 5000 + "/1"],
+        ["locate", "--tree", "sb", "1/" + "7" * 5000],
+        ["approx", "--target", "3" * 5000, "--max-den", "10"],
+        ["approx", "--target", "1." + "4" * 4999, "--max-den", "10"],
+        ["approx", "--target", "2" * 5000 + "/3", "--max-den", "10"],
+    ],
+)
+def test_overlong_digit_strings_are_refused(argv):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts digit strings of any length")
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: number of 5000 digits")

@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 from mediant.matrices import (
     IDENTITY,
     Mat2,
-    apply_mobius,
     decompose,
     from_path,
     generators,
-    multiply,
-    transpose,
     validate_path,
 )
 from mediant.rational import ExtendedRational
@@ -51,27 +48,27 @@ def test_frame_constructor():
 
 def test_multiply_examples():
     m = Mat2(2, 1, 1, 1)
-    assert multiply(IDENTITY, m) == m
-    assert multiply(R, L) == Mat2(2, 1, 1, 1)
-    assert multiply(L, multiply(R, L)) == Mat2(2, 1, 3, 2)
+    assert IDENTITY * m == m
+    assert R * L == Mat2(2, 1, 1, 1)
+    assert L * (R * L) == Mat2(2, 1, 3, 2)
 
 
 def test_transpose_examples():
-    assert transpose(IDENTITY) == IDENTITY
-    assert transpose(L) == R
-    assert transpose(Mat2(3, 1, 2, 1)) == Mat2(3, 2, 1, 1)
+    assert IDENTITY.transpose() == IDENTITY
+    assert L.transpose() == R
+    assert Mat2(3, 1, 2, 1).transpose() == Mat2(3, 2, 1, 1)
 
 
 @given(paths, paths)
 def test_transpose_anti_automorphism(p, q):
     m, n = from_path(p), from_path(q)
-    assert transpose(multiply(m, n)) == multiply(transpose(n), transpose(m))
+    assert (m * n).transpose() == n.transpose() * m.transpose()
 
 
 def test_apply_mobius_examples():
-    assert apply_mobius(IDENTITY, ExtendedRational(5, 7)) == ExtendedRational(5, 7)
-    assert apply_mobius(Mat2(3, 1, 2, 1), ExtendedRational(1, 1)) == ExtendedRational(4, 3)
-    assert apply_mobius(Mat2(1, 1, 1, 2), ExtendedRational(1, 0)) == ExtendedRational(1, 1)
+    assert IDENTITY(ExtendedRational(5, 7)) == ExtendedRational(5, 7)
+    assert Mat2(3, 1, 2, 1)(ExtendedRational(1, 1)) == ExtendedRational(4, 3)
+    assert Mat2(1, 1, 1, 2)(ExtendedRational(1, 0)) == ExtendedRational(1, 1)
 
 
 @given(paths)
@@ -172,7 +169,7 @@ def test_text_form():
 
 
 def test_mat2_hashable():
-    assert len({from_path("LR"), multiply(R, L), Mat2(2, 1, 1, 1)}) == 1
+    assert len({from_path("LR"), R * L, Mat2(2, 1, 1, 1)}) == 1
 
 
 def test_bool_entries_rejected():

@@ -1,3 +1,4 @@
+import importlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -7,6 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mediant.stern import SternTable, fusc, hyperbinary_count_oracle, stern
+
+# the package attribute mediant.stern is the function; this is the module
+stern_module = importlib.import_module("mediant.stern")
 
 # s(0)..s(16)
 FIRST = [0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4, 1]
@@ -78,16 +82,16 @@ def test_consecutive_coprimality():
         assert math.gcd(fusc(n), fusc(n + 1)) == 1
 
 
-def test_table_horizon_fallback():
-    table = SternTable(horizon=16)
-    assert [table.value(n) for n in range(40)] == [stern(n) for n in range(40)]
+def test_table_horizon_fallback(monkeypatch):
+    expected = [stern(n) for n in range(40)]
+    monkeypatch.setattr(stern_module, "_HORIZON", 16)
+    table = SternTable()
+    assert [table.value(n) for n in range(40)] == expected
     # nothing beyond the horizon is memoized
     assert len(table) <= 16
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
-        SternTable(horizon=1)
     with pytest.raises(ValueError):
         SternTable().value(-5)
 

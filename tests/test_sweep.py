@@ -50,3 +50,12 @@ def test_run_spans_without_a_cpu_count_runs_inline(monkeypatch, fake_pool):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert sweep.run_spans(_span_nodes, 6, 10**6) == [2**7 - 1]
     assert fake_pool == []
+
+
+def test_run_spans_starts_no_more_workers_than_spans(monkeypatch, fake_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    parts = sweep.run_spans(_span_nodes, 3, 16)
+    assert len(sweep.spans(3, 16)) == 9
+    assert [pool.max_workers for pool in fake_pool] == [9]
+    assert fake_pool[0].tasks == 9
+    assert sum(parts) == 2**4 - 1

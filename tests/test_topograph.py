@@ -2,6 +2,7 @@ import pytest
 
 import mediant.topograph
 import mediant.trees
+from mediant.shadows import verify_theorem
 from mediant.matrices import IDENTITY, Mat2, from_path, generators
 from mediant.rational import ExtendedRational
 from mediant.topograph import (
@@ -251,3 +252,23 @@ def test_verify_catches_corrupted_matrix_tree(monkeypatch):
     assert report.conjugation_failures == report.label_failures == 2**5 - 2
     assert report.mobius_failures == report.frame_failures == 0
     assert report.first_failure_path == "L"
+
+
+def test_verify_catches_corrupted_stern_brocot_rule(monkeypatch):
+    # forward_tree and level_iter("stern-brocot") share one engine and one
+    # rule; the matrix side must still catch a corrupted rule in both sweeps
+    seed, children, value_of = mediant.trees._TREE_RULES["stern-brocot"]
+    monkeypatch.setitem(
+        mediant.trees._TREE_RULES,
+        "stern-brocot",
+        (seed, lambda s: children(s)[::-1], value_of),
+    )
+    report = verify_topograph_proof(4)
+    assert not report.ok
+    assert report.conjugation_failures == report.label_failures == 2**5 - 2
+    assert report.mobius_failures == report.frame_failures == 0
+    assert report.first_failure_path == "L"
+    theorem = verify_theorem(4)
+    assert not theorem.ok
+    assert theorem.farey_failures == 2**5 - 2
+    assert theorem.cw_failures == 0

@@ -213,6 +213,45 @@ def test_locate_big_integers():
     assert sb_node(sb_locate(v)).value == v
 
 
+def cf_value(quotients):
+    """The rational [q0; q1, ..., qk] with the continued-fraction recurrence."""
+    h, h1, k, k1 = 1, 0, 0, 1
+    for q in quotients:
+        h, h1, k, k1 = q * h + h1, h, q * k + k1, k
+    return er(h, k)
+
+
+# 30-40 quotients in 1..1000: values reach about 10^100, paths stay under
+# 4 * 10^4 steps (one step per unit of each quotient).
+huge_values = st.lists(st.integers(1, 1000), min_size=30, max_size=40).map(cf_value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(huge_values)
+def test_locate_round_trips_at_100_digit_scale(q):
+    cw_path, sb_path = cw_locate(q), sb_locate(q)
+    assert len(cw_path) < 4 * 10**4 and len(sb_path) < 4 * 10**4
+    assert cw_value(cw_path) == q
+    assert sb_node(sb_path).value == q
+    assert index_to_path(bfs_index(cw_path)) == cw_path
+    assert index_to_path(bfs_index(sb_path)) == sb_path
+
+
+@settings(max_examples=50, deadline=None)
+@given(huge_values, st.data())
+def test_best_approximation_matches_limit_denominator_at_100_digit_scale(q, data):
+    max_den = data.draw(st.integers(1, q.den))
+    target = Fraction(q.num, q.den)
+    best = best_approximation(q.num, q.den, max_den)
+    ours = Fraction(best.num, best.den)
+    expected = target.limit_denominator(max_den)
+    assert best.den <= max_den
+    assert abs(ours - target) == abs(expected - target)
+    # they may differ only on a tie, where target is midway between the
+    # two bracketing candidates and the tie-breaking rules differ
+    assert ours == expected or ours + expected == 2 * target
+
+
 def test_no_duplicate_values_to_depth_10():
     for kind in ("calkin-wilf", "stern-brocot"):
         values = [node.value for node in level_iter(kind, 10)]

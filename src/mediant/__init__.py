@@ -7,21 +7,8 @@ forward flow.  Everything is big-integer exact; the two verify functions
 machine-check the correspondences exhaustively to a chosen depth.
 """
 
-from .matrices import (
-    IDENTITY,
-    Mat2,
-    Path,
-    decompose,
-    from_path,
-    generators,
-)
-from .rational import (
-    ExtendedRational,
-    compare,
-    farey_sequence,
-    is_z_distinct,
-    mediant,
-)
+from .matrices import IDENTITY, Mat2, Path, decompose, from_path, generators
+from .rational import ExtendedRational, compare, farey_sequence, is_z_distinct, mediant
 from .shadows import (
     TheoremReport,
     cw_shadow,

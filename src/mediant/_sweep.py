@@ -43,10 +43,10 @@ def sweep(
 ) -> R:
     """Run span_fn over every subtree span to `depth` and fold the results.
 
-    span_fn returns its counters (visits, then failures) followed by its
-    BFS-earliest failing path or None.  The counters are summed over the
-    spans and passed to `report` as (depth, *counters, earliest failing
-    path, elapsed seconds).
+    span_fn returns its counters (visits, then failures) followed by the
+    earliest_failure of its failing paths (a minimum: spans walk depth first)
+    or None.  The counters are summed over the spans and passed to `report`
+    as (depth, *counters, earliest failing path, elapsed seconds).
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -90,7 +90,7 @@ def run_spans(span_fn: Callable[[str, int], T], depth: int, jobs: int) -> list[T
 
 
 def earliest_failure(paths: list[Optional[str]]) -> Optional[str]:
-    """BFS-earliest among per-span failure paths: shortest, then lexicographic."""
+    """The BFS-earliest non-None path (shortest, then lexicographic), or None."""
     found = [p for p in paths if p is not None]
     if not found:
         return None

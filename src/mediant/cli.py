@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -126,19 +127,27 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     return 0
 
 
+def _printable(n: int, what: str) -> int:
+    """n >= 0, or a ValueError naming its digit count if Python will not print it."""
+    # Pythons without the int-to-str limit (before 3.10.7) print any size.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n.bit_length() > 3 * limit:  # 2^(3k) < 10^k: fewer bits always print
+        # The float log is off by far less than 1e-6; compare exactly only near 10^k.
+        log = math.log10(n)
+        near = round(log)
+        digits = near + (n >= 10**near) if abs(log - near) < 1e-6 else math.floor(log) + 1
+        if digits > limit:
+            raise ValueError(
+                f"{what} of {digits} digits, more than the {limit} digits Python prints"
+                " (sys.get_int_max_str_digits)"
+            )
+    return n
+
+
 def _cmd_locate(args: argparse.Namespace) -> int:
     value = ExtendedRational.parse(args.value)
     path = cw_locate(value) if args.tree == "cw" else sb_locate(value)
-    index = bfs_index(path)
-    # Pythons without the int-to-str limit (before 3.10.7) print any size.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # Sized by bit length first, so the check never converts the number:
-    # 2^(3k) < 10^k, so only a narrow band needs the exact comparison.
-    if limit and index.bit_length() > 3 * limit and index >= 10**limit:
-        raise ValueError(
-            f"path of {len(path)} steps has a BFS index of more than {limit} digits,"
-            " the most Python prints (sys.get_int_max_str_digits)"
-        )
+    index = _printable(bfs_index(path), f"path of {len(path)} steps has a BFS index")
     print(json.dumps({"path": path, "bfs_index": index}))
     return 0
 
@@ -184,6 +193,9 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     error = ExtendedRational(
         abs(target.num * best.den - best.num * target.den), target.den * best.den
     )
+    for name, q in (("best", best), ("error", error)):
+        _printable(q.num, f"{name} has a numerator")
+        _printable(q.den, f"{name} has a denominator")
     print(json.dumps({"best": str(best), "error": str(error)}))
     return 0
 

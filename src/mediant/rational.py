@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -17,6 +18,7 @@ __all__ = [
 _FRACTION_RE = re.compile(r"(-?\d+)/(\d+)\Z")
 
 
+@functools.total_ordering
 class ExtendedRational:
     """A fraction num/den in lowest terms, including 0/1 and infinity = 1/0.
 
@@ -58,10 +60,6 @@ class ExtendedRational:
             raise ValueError(f"not a fraction: {text!r}")
         return cls(_parse_int(m.group(1)), _parse_int(m.group(2)))
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.den == 0
-
     def reciprocal(self) -> "ExtendedRational":
         return ExtendedRational(self.den, self.num)
 
@@ -77,21 +75,6 @@ class ExtendedRational:
         if not isinstance(other, ExtendedRational):
             return NotImplemented
         return self._cross(other) < 0
-
-    def __le__(self, other: "ExtendedRational"):
-        if not isinstance(other, ExtendedRational):
-            return NotImplemented
-        return self._cross(other) <= 0
-
-    def __gt__(self, other: "ExtendedRational"):
-        if not isinstance(other, ExtendedRational):
-            return NotImplemented
-        return self._cross(other) > 0
-
-    def __ge__(self, other: "ExtendedRational"):
-        if not isinstance(other, ExtendedRational):
-            return NotImplemented
-        return self._cross(other) >= 0
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._sweep import SweepReport, sweep
-from .matrices import Mat2
+from ._sweep import SweepReport, earliest_failure, sweep
+from .matrices import Mat2, _trusted
 from .rational import ExtendedRational
-from .trees import level_iter
+from .trees import walk
 
 __all__ = [
     "TheoremReport",
@@ -62,25 +62,24 @@ class TheoremReport(SweepReport):
 
 
 def _check_span(prefix: str, depth: int) -> tuple[int, int, int, Optional[str]]:
-    """Compare both shadows against the tree values over one subtree span."""
+    """Compare both shadows against the tree values over one subtree span,
+    walking the three trees depth first in lock step."""
     nodes = cw_bad = farey_bad = 0
     first: Optional[str] = None
     frames = zip(
-        level_iter("matrix", depth, prefix),
-        level_iter("calkin-wilf", depth, prefix),
-        level_iter("stern-brocot", depth, prefix),
+        walk("matrix", depth, prefix),
+        walk("calkin-wilf", depth, prefix),
+        walk("stern-brocot", depth, prefix),
     )
-    for mat_node, cw_node, sb_node in frames:
+    for (path, entries), (_, (a, b)), (_, (lo_num, lo_den, hi_num, hi_den)) in frames:
+        m = _trusted(*entries)  # unchecked: a corrupted rule is counted, not raised
+        cw_ok = cw_shadow(m) == ExtendedRational(a, b)
+        farey_ok = farey_shadow(m) == ExtendedRational(lo_num + hi_num, lo_den + hi_den)
         nodes += 1
-        hit = False
-        if cw_shadow(mat_node.value) != cw_node.value:
-            cw_bad += 1
-            hit = True
-        if farey_shadow(mat_node.value) != sb_node.value:
-            farey_bad += 1
-            hit = True
-        if hit and first is None:
-            first = mat_node.path
+        cw_bad += not cw_ok
+        farey_bad += not farey_ok
+        if not (cw_ok and farey_ok):
+            first = earliest_failure([first, path])
     return nodes, cw_bad, farey_bad, first
 
 
@@ -88,7 +87,8 @@ def verify_theorem(depth: int, jobs: int = 1) -> TheoremReport:
     """Check both shadow maps against independently built trees, exhaustively.
 
     Every path with |path| <= depth is visited once; the expected values come
-    from the tree engine's own child rules, the actual values from the shadow
-    formulas applied to from_path.  jobs > 1 shards the sweep by subtree.
+    from the Calkin-Wilf and Stern-Brocot child rules, the actual values from
+    the shadow formulas applied to the matrix tree's nodes.  jobs > 1 shards
+    the sweep by subtree.
     """
     return sweep(TheoremReport, _check_span, depth, jobs)

@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ._sweep import SweepReport, sweep
+from ._sweep import SweepReport, earliest_failure, sweep
 # from_path and sb_node are not called here; they stay module attributes
 # because perfbench/layers.py times calls through mediant.topograph by name.
-from .matrices import Mat2, Path, from_path
+from .matrices import Mat2, Path, _trusted, from_path
 from .rational import ExtendedRational, is_z_distinct
 from .shadows import farey_shadow
-from .trees import level_iter, sb_node, walk
+from .trees import _breadth_first, sb_node, walk
 
 __all__ = [
     "OrientedVertex",
@@ -107,14 +107,22 @@ def forward_tree(depth: int, prefix: Path = "") -> Iterator[OrientedVertex]:
 
     Root frame (left 0/1, right 1/0, forward 1/1).  The left child keeps the
     left label and advances across the edge {left, forward}; the right child
-    keeps the right label.  That is the Stern-Brocot bounds descent, so each
-    frame is read off trees.walk("stern-brocot") as (lo, hi, value).  Yields
-    2^(depth+1) - 1 frames for levels 0..depth; a non-empty `prefix`
-    restricts to that subtree, as in trees.level_iter.
+    keeps the right label.  That is the Stern-Brocot bounds descent, so the
+    frames are trees.walk("stern-brocot") states, in breadth-first order by
+    iterative deepening.  Yields 2^(depth+1) - 1 frames for levels 0..depth;
+    a non-empty `prefix` restricts to that subtree, as in trees.level_iter.
     """
-    return (
-        OrientedVertex(left, right, forward, path)
-        for path, (left, right, forward) in walk("stern-brocot", depth, prefix)
+    return (_frame(path, state) for path, state in _breadth_first("stern-brocot", depth, prefix))
+
+
+def _frame(path: Path, state: tuple[int, int, int, int]) -> OrientedVertex:
+    """The frame of a Stern-Brocot walk state: its bounds and their raw sum."""
+    lo_num, lo_den, hi_num, hi_den = state
+    return OrientedVertex(
+        ExtendedRational(lo_num, lo_den),
+        ExtendedRational(hi_num, hi_den),
+        ExtendedRational(lo_num + hi_num, lo_den + hi_den),
+        path,
     )
 
 
@@ -166,41 +174,38 @@ def _frame_ok(v: OrientedVertex) -> bool:
 def _check_span(prefix: str, depth: int) -> tuple[int, int, int, int, int, Optional[str]]:
     """Run the four per-frame checks over one subtree span.
 
-    The flow and the matrix tree are walked in lock step, so each frame is
-    compared with the matrix-tree node at the same path in O(1) work.
+    The flow and the matrix tree are walked depth first in lock step, so
+    each frame is compared with the matrix-tree node at the same path in
+    O(1) work and O(depth) memory.
     """
     frames = conj_bad = label_bad = mobius_bad = frame_bad = 0
     first: Optional[str] = None
-    for v, node in zip(forward_tree(depth, prefix), level_iter("matrix", depth, prefix)):
-        frames += 1
-        hit = False
+    flow = zip(walk("stern-brocot", depth, prefix), walk("matrix", depth, prefix))
+    for (path, state), (_, entries) in flow:
+        v = _frame(path, state)
+        node = _trusted(*entries)  # unchecked: a corrupted rule is counted, not raised
         try:
             matrix = vertex_matrix(v)
         except (TypeError, ValueError):
             matrix = None
         try:
-            ok = matrix is not None and conjugate_shadow(matrix) == node.value
+            conj_ok = matrix is not None and conjugate_shadow(matrix) == node
         except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            conj_bad += 1
-            hit = True
+            conj_ok = False
         # farey_label is read from the module on every frame: tests replace it.
-        if farey_label(v) != farey_shadow(node.value):
-            label_bad += 1
-            hit = True
+        label_ok = farey_label(v) == farey_shadow(node)
         try:
-            ok = matrix is not None and matrix(_ONE) == v.forward
+            mobius_ok = matrix is not None and matrix(_ONE) == v.forward
         except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            mobius_bad += 1
-            hit = True
-        if not _frame_ok(v):
-            frame_bad += 1
-            hit = True
-        if hit and first is None:
-            first = v.path
+            mobius_ok = False
+        frame_ok = _frame_ok(v)
+        frames += 1
+        conj_bad += not conj_ok
+        label_bad += not label_ok
+        mobius_bad += not mobius_ok
+        frame_bad += not frame_ok
+        if not (conj_ok and label_ok and mobius_ok and frame_ok):
+            first = earliest_failure([first, path])
     return frames, conj_bad, label_bad, mobius_bad, frame_bad, first
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Union
 
-from .matrices import Mat2, Path, from_path, generators, validate_path
+from .matrices import Mat2, Path, validate_path
 from .rational import ExtendedRational, mediant
 from .stern import fusc
 
@@ -246,50 +246,37 @@ def best_approximation(target_num: int, target_den: int, max_den: int) -> Extend
     return lo if lo.num < hi.num else hi
 
 
-_GEN_L, _GEN_R = generators()
-
-
-def _cw_seed(prefix):
-    v = cw_value(prefix)
-    return (v.num, v.den)
-
-
 def _cw_children(state):
     a, b = state
     return (a, a + b), (a + b, b)
 
 
-def _sb_seed(prefix):
-    node = sb_node(prefix)
-    return (node.lo, node.hi, node.value)
-
-
 def _sb_children(state):
-    lo, hi, value = state
-    return (lo, value, mediant(lo, value)), (value, hi, mediant(value, hi))
+    lo_num, lo_den, hi_num, hi_den = state
+    num, den = lo_num + hi_num, lo_den + hi_den
+    return (lo_num, lo_den, num, den), (num, den, hi_num, hi_den)
 
 
-def _matrix_children(m):
-    return _GEN_L * m, _GEN_R * m
+def _matrix_children(state):
+    # L*M and R*M for L = (1 0; 1 1), R = (1 1; 0 1)
+    a, b, c, d = state
+    return (a, b, a + c, b + d), (a + c, b + d, c, d)
 
 
+# kind: (root state, children of a state, node value of a state)
 _TREE_RULES = {
-    "calkin-wilf": (_cw_seed, _cw_children, lambda s: ExtendedRational(s[0], s[1])),
-    "stern-brocot": (_sb_seed, _sb_children, lambda s: s[2]),
-    "matrix": (from_path, _matrix_children, lambda m: m),
+    "calkin-wilf": ((1, 1), _cw_children, lambda s: ExtendedRational(*s)),
+    "stern-brocot": (
+        (0, 1, 1, 0), _sb_children, lambda s: ExtendedRational(s[0] + s[2], s[1] + s[3])
+    ),
+    "matrix": ((1, 0, 0, 1), _matrix_children, lambda s: Mat2(*s)),
 }
 
 
-def walk(kind: str, depth: int, prefix: Path = "") -> Iterator[tuple[Path, Any]]:
-    """Yield (path, state) level by level, left to right, levels |prefix|..depth.
-
-    The one breadth-first engine behind level_iter and topograph.forward_tree.
-    `kind` names an entry of _TREE_RULES, read at call time; the state is that
-    rule's raw node: an (a, b) pair, an (lo, hi, value) triple or a Mat2.
-    Arguments are checked here, before the first node is produced.
-    """
+def _start(kind: str, depth: int, prefix: Path):
+    """Check the arguments; return the state at `prefix` and the children rule."""
     try:
-        seed, children, _ = _TREE_RULES[kind]
+        state, children, _ = _TREE_RULES[kind]
     except KeyError:
         raise ValueError(f"unknown tree kind: {kind!r}") from None
     if depth < 0:
@@ -297,19 +284,44 @@ def walk(kind: str, depth: int, prefix: Path = "") -> Iterator[tuple[Path, Any]]
     validate_path(prefix)
     if len(prefix) > depth:
         raise ValueError("prefix cannot be longer than depth")
-    return _walk(seed, children, depth, prefix)
+    for step in prefix:
+        state = children(state)[step == "R"]
+    return state, children
 
 
-def _walk(seed, children, depth: int, prefix: Path) -> Iterator[tuple[Path, Any]]:
-    states = [(prefix, seed(prefix))]
-    for _ in range(len(prefix), depth):
-        yield from states
-        states = [
-            (path + step, child)
-            for path, state in states
-            for step, child in zip("LR", children(state))
-        ]
-    yield from states
+def walk(kind: str, depth: int, prefix: Path = "") -> Iterator[tuple[Path, Any]]:
+    """Yield (path, state) depth first in preorder, levels |prefix|..depth.
+
+    The one traversal loop; it holds O(depth) states.  `kind` names an entry
+    of _TREE_RULES, read at call time, and a state is a raw int tuple: (a, b)
+    for the Calkin-Wilf value a/b; the Stern-Brocot bounds (lo_num, lo_den,
+    hi_num, hi_den), whose raw sum is the node value; the matrix (a, b, c, d).
+    Arguments are checked here, before the first node is produced.
+    """
+    return _walk(*_start(kind, depth, prefix), depth, prefix)
+
+
+def _walk(root, children, depth: int, prefix: Path) -> Iterator[tuple[Path, Any]]:
+    stack = [(prefix, root)]
+    while stack:
+        path, state = stack.pop()
+        yield path, state
+        if len(path) < depth:
+            left, right = children(state)
+            stack.append((path + "R", right))
+            stack.append((path + "L", left))
+
+
+def _breadth_first(kind: str, depth: int, prefix: Path) -> Iterator[tuple[Path, Any]]:
+    """walk's pairs level by level, left to right, in O(depth) memory: by
+    iterative deepening, level k is the depth-k nodes of one walk to depth k."""
+    root, children = _start(kind, depth, prefix)
+    return (
+        (path, state)
+        for level in range(len(prefix), depth + 1)
+        for path, state in _walk(root, children, level, prefix)
+        if len(path) == level
+    )
 
 
 def level_iter(kind: str, depth: int, prefix: Path = "") -> Iterator[TreeNode]:
@@ -318,10 +330,9 @@ def level_iter(kind: str, depth: int, prefix: Path = "") -> Iterator[TreeNode]:
     The whole tree by default: exactly 2^(depth+1) - 1 nodes.  `kind` is one
     of "calkin-wilf", "stern-brocot" or "matrix"; the matrix tree yields Mat2
     values.  A non-empty `prefix` restricts the sweep to that subtree (levels
-    |prefix|..depth), which is how verification shards work across
-    processes; each node's offset still counts from the left end of the
-    whole tree.
+    |prefix|..depth); each node's offset still counts from the left end of
+    the whole tree.  The order comes from iterative deepening over walk.
     """
-    states = walk(kind, depth, prefix)
+    states = _breadth_first(kind, depth, prefix)
     value_of = _TREE_RULES[kind][2]
     return (TreeNode(path, value_of(state)) for path, state in states)

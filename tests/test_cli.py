@@ -9,9 +9,9 @@ import time
 import pytest
 
 import mediant.shadows
-from mediant.cli import RenderConfig, main, parse_target, render
+from mediant.cli import RenderConfig, _printable, main, parse_target, render
 from mediant.rational import ExtendedRational
-from mediant.trees import cw_value
+from mediant.trees import best_approximation, cw_value
 
 
 def run_cli(*argv):
@@ -305,3 +305,43 @@ def test_overlong_digit_strings_are_refused(argv):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert err.startswith("error: number of 5000 digits")
+
+
+def _digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python prints integers of any length")
+    return limit
+
+
+_UNPRINTABLE = re.compile(
+    r"(.*) of (\d+) digits, more than the (\d+) digits Python prints"
+    r" \(sys\.get_int_max_str_digits\)"
+)
+
+
+def test_printable_names_the_exact_digit_count():
+    limit = _digit_limit()
+    assert _printable(10**limit - 1, "n") == 10**limit - 1
+    near_powers = (10**limit, 10**limit + 1, 10 ** (2 * limit) - 1, 10 ** (2 * limit))
+    for n in (*near_powers, 2 ** (10 * limit)):
+        with pytest.raises(ValueError) as exc:
+            _printable(n, "n")
+        what, digits, most = _UNPRINTABLE.fullmatch(str(exc.value)).groups()
+        assert what == "n" and int(most) == limit
+        assert 10 ** (int(digits) - 1) <= n < 10 ** int(digits)
+
+
+def test_approx_refuses_an_unprintable_error_by_its_digit_count():
+    # the input passes the digit check, but the error's denominator outgrows it
+    limit = _digit_limit()
+    target = "9" * limit + "/" + "7" * (limit - 1) + "1"
+    code, out, err = run_cli("approx", "--target", target, "--max-den", "1000")
+    assert code == 2 and out == ""
+    assert "Exceeds the limit" not in err
+    what, digits, _ = _UNPRINTABLE.fullmatch(err.strip().removeprefix("error: ")).groups()
+    q = parse_target(target)
+    best = best_approximation(q.num, q.den, 1000)
+    error = ExtendedRational(abs(q.num * best.den - best.num * q.den), q.den * best.den)
+    n = {"error has a numerator": error.num, "error has a denominator": error.den}[what]
+    assert 10 ** (int(digits) - 1) <= n < 10 ** int(digits)

@@ -1,8 +1,16 @@
 import os
+import tracemalloc
 
 import pytest
 
 import mediant._sweep as sweep
+import mediant.shadows
+import mediant.topograph
+from mediant.matrices import from_path
+from mediant.rational import ExtendedRational
+from mediant.shadows import verify_theorem
+from mediant.topograph import verify_topograph_proof
+from mediant.trees import walk
 
 
 def _span_nodes(prefix, depth):
@@ -59,3 +67,61 @@ def test_run_spans_starts_no_more_workers_than_spans(monkeypatch, fake_pool):
     assert [pool.max_workers for pool in fake_pool] == [9]
     assert fake_pool[0].tasks == 9
     assert sum(parts) == 2**4 - 1
+
+
+# Depth-first preorder meets "LLL" before "R"; breadth-first order puts "R" first.
+FAILING = ("LLL", "R")
+
+
+def _fail_at(monkeypatch, paths):
+    """Make one check fail in each sweep, only at the given paths."""
+    wrong = ExtendedRational(0, 1)
+    entries = {(m.a, m.b, m.c, m.d) for m in map(from_path, paths)}
+    cw_shadow = mediant.shadows.cw_shadow
+    monkeypatch.setattr(
+        mediant.shadows,
+        "cw_shadow",
+        lambda m: wrong if (m.a, m.b, m.c, m.d) in entries else cw_shadow(m),
+    )
+    farey_label = mediant.topograph.farey_label
+    monkeypatch.setattr(
+        mediant.topograph, "farey_label", lambda v: wrong if v.path in paths else farey_label(v)
+    )
+
+
+def test_first_failure_is_the_bfs_earliest_within_a_span(monkeypatch):
+    _fail_at(monkeypatch, FAILING)
+    theorem = verify_theorem(5)
+    assert theorem.cw_failures == 2 and theorem.farey_failures == 0
+    assert theorem.first_failure_path == "R"
+    topograph = verify_topograph_proof(5)
+    assert topograph.label_failures == 2 and topograph.conjugation_failures == 0
+    assert topograph.first_failure_path == "R"
+
+
+def test_first_failure_is_the_bfs_earliest_across_spans(monkeypatch, fake_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _fail_at(monkeypatch, FAILING)
+    assert verify_theorem(5, jobs=2).first_failure_path == "R"
+    assert verify_topograph_proof(5, jobs=2).first_failure_path == "R"
+    assert [pool.tasks for pool in fake_pool] == [len(sweep.spans(5, 2))] * 2
+    assert len(sweep.spans(5, 2)) > 1
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: sum(1 for _ in walk("matrix", 16)),
+        lambda: verify_theorem(14),
+        lambda: verify_topograph_proof(14),
+    ],
+    ids=["walk-matrix-16", "verify_theorem-14", "verify_topograph_proof-14"],
+)
+def test_sweeps_hold_o_depth_memory(run):
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -16,7 +16,7 @@ from mediant.topograph import (
     verify_topograph_proof,
     vertex_matrix,
 )
-from mediant.trees import sb_node
+from mediant.trees import sb_node, walk
 
 
 def er(num, den=1):
@@ -128,6 +128,16 @@ def test_forward_tree_children_keep_one_region():
 def test_forward_tree_prefix_restricts_to_subtree(prefix):
     part = list(forward_tree(5, prefix))
     assert part == [f for f in forward_tree(5) if f.path.startswith(prefix)]
+
+
+@pytest.mark.parametrize("prefix", ["", "LR"])
+def test_forward_tree_is_walk_stably_sorted_by_level(prefix):
+    by_level = sorted(walk("stern-brocot", 8, prefix), key=lambda item: len(item[0]))
+    expected = [
+        OrientedVertex(er(ln, ld), er(hn, hd), er(ln + hn, ld + hd), path)
+        for path, (ln, ld, hn, hd) in by_level
+    ]
+    assert list(forward_tree(8, prefix)) == expected
 
 
 def test_forward_tree_validates_before_iteration():
@@ -252,6 +262,22 @@ def test_verify_catches_corrupted_matrix_tree(monkeypatch):
     assert report.conjugation_failures == report.label_failures == 2**5 - 2
     assert report.mobius_failures == report.frame_failures == 0
     assert report.first_failure_path == "L"
+
+
+def test_verify_counts_a_matrix_rule_that_leaves_the_monoid(monkeypatch):
+    # the sweeps build their matrix nodes unchecked, so a node with
+    # determinant 2 is a counted failure with a path, not a raised error
+    root, children, value_of = mediant.trees._TREE_RULES["matrix"]
+
+    def corrupted(state):
+        (a, b, c, d), right = children(state)
+        return (a, b, c, d + 1), right
+
+    monkeypatch.setitem(mediant.trees._TREE_RULES, "matrix", (root, corrupted, value_of))
+    theorem = verify_theorem(3)
+    assert theorem.cw_failures > 0 and theorem.first_failure_path == "L"
+    topograph = verify_topograph_proof(3)
+    assert topograph.conjugation_failures > 0 and topograph.first_failure_path == "L"
 
 
 def test_verify_catches_corrupted_stern_brocot_rule(monkeypatch):

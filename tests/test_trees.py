@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediant.matrices import Mat2
+from mediant.matrices import Mat2, from_path
 from mediant.rational import ExtendedRational, is_z_distinct, mediant
 from mediant.trees import (
     MAX_LOCATE_STEPS,
@@ -21,6 +21,7 @@ from mediant.trees import (
     sb_locate,
     sb_node,
     sb_row,
+    walk,
 )
 
 
@@ -378,3 +379,49 @@ def test_locate_refuses_paths_over_the_step_cap():
         for locate in (cw_locate, sb_locate):
             with pytest.raises(ValueError, match=r"path of \d+ steps"):
                 locate(value)
+
+
+KINDS = ["calkin-wilf", "stern-brocot", "matrix"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_walk_is_depth_first_preorder(kind):
+    assert [path for path, _ in walk(kind, 2)] == ["", "L", "LL", "LR", "R", "RL", "RR"]
+    assert [path for path, _ in walk(kind, 2, "R")] == ["R", "RL", "RR"]
+
+
+def _direct_state(kind, path):
+    """The raw int layout walk documents, built by a route that shares no rule."""
+    if kind == "calkin-wilf":
+        value = cw_value(path)
+        return (value.num, value.den)
+    if kind == "stern-brocot":
+        node = sb_node(path)
+        return (node.lo.num, node.lo.den, node.hi.num, node.hi.den)
+    m = from_path(path)
+    return (m.a, m.b, m.c, m.d)
+
+
+def test_walk_states_match_the_direct_constructions():
+    for kind in KINDS:
+        for prefix in ("", "RLR"):
+            for path, state in walk(kind, 7, prefix):
+                assert path.startswith(prefix)
+                assert state == _direct_state(kind, path)
+
+
+def _node_value(kind, state):
+    if kind == "calkin-wilf":
+        return ExtendedRational(*state)
+    if kind == "stern-brocot":
+        lo_num, lo_den, hi_num, hi_den = state
+        return ExtendedRational(lo_num + hi_num, lo_den + hi_den)
+    return Mat2(*state)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("prefix", ["", "LR"])
+def test_level_iter_is_walk_stably_sorted_by_level(kind, prefix):
+    by_level = sorted(walk(kind, 8, prefix), key=lambda item: len(item[0]))
+    expected = [(path, _node_value(kind, state)) for path, state in by_level]
+    assert [(node.path, node.value) for node in level_iter(kind, 8, prefix)] == expected

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .rational import ExtendedRational, _parse_int, farey_sequence
+from .rational import ExtendedRational, _int_digit_limit, _parse_int, farey_sequence
 from .shadows import verify_theorem
 from .stern import fusc, stern
 from .topograph import forward_tree, verify_topograph_proof
@@ -29,6 +29,13 @@ _FORMATS = ("text", "json", "dot")
 # 2^21 - 1 nodes; deep enough for anything interactive, small enough to stay
 # out of swap.  Raise per run with --max-depth-cap.
 DEFAULT_DEPTH_CAP = 20
+
+
+def _check_depth_cap(depth: int, cap: int) -> None:
+    if depth > cap:
+        raise ValueError(
+            f"depth {depth} exceeds the safety cap {cap} (raise it with --max-depth-cap)"
+        )
 
 
 @dataclass(frozen=True)
@@ -47,11 +54,7 @@ class RenderConfig:
             raise ValueError(f"unknown format: {self.format!r}")
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
-        if self.depth > self.max_depth_cap:
-            raise ValueError(
-                f"depth {self.depth} exceeds the safety cap {self.max_depth_cap}"
-                " (raise it with --max-depth-cap)"
-            )
+        _check_depth_cap(self.depth, self.max_depth_cap)
 
 
 def _rows(config: RenderConfig) -> Iterator[tuple[str, int, str, dict]]:
@@ -129,8 +132,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 def _printable(n: int, what: str) -> int:
     """n >= 0, or a ValueError naming its digit count if Python will not print it."""
-    # Pythons without the int-to-str limit (before 3.10.7) print any size.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_digit_limit()
     if limit and n.bit_length() > 3 * limit:  # 2^(3k) < 10^k: fewer bits always print
         # The float log is off by far less than 1e-6; compare exactly only near 10^k.
         log = math.log10(n)
@@ -166,11 +168,7 @@ def _cmd_fusc(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.depth > args.max_depth_cap:
-        raise ValueError(
-            f"depth {args.depth} exceeds the safety cap {args.max_depth_cap}"
-            " (raise it with --max-depth-cap)"
-        )
+    _check_depth_cap(args.depth, args.max_depth_cap)
     theorem = verify_theorem(args.depth, jobs=args.jobs)
     topograph = verify_topograph_proof(args.depth, jobs=args.jobs)
     print(json.dumps({"theorem": theorem.as_dict(), "topograph": topograph.as_dict()}, indent=2))

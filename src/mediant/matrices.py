@@ -2,16 +2,20 @@
 
 The monoid of non-negative integer matrices with determinant 1 is freely
 generated by L = (1 0; 1 1) and R = (1 1; 0 1).  A path -- a word over
-"L"/"R" -- therefore addresses each member exactly once, and ``decompose``
-recovers the word by peeling generators.
+"L"/"R" -- therefore addresses each member exactly once.  ``_runs`` is the
+one continued-fraction descent: it spells the Stern-Brocot path of a value in
+runs of equal steps, and ``decompose`` and the tree locators read words off it.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .rational import ExtendedRational
 
 __all__ = [
     "IDENTITY",
+    "MAX_LOCATE_STEPS",
     "Mat2",
     "Path",
     "decompose",
@@ -25,6 +29,9 @@ Path = str
 
 _STEPS = frozenset("LR")
 
+# Longest path _spell writes out, one character per step.
+MAX_LOCATE_STEPS = 10**7
+
 
 def validate_path(path: Path) -> Path:
     if not isinstance(path, str):
@@ -32,6 +39,31 @@ def validate_path(path: Path) -> Path:
     if not _STEPS.issuperset(path):
         raise ValueError(f"path may contain only 'L' and 'R': {path!r}")
     return path
+
+
+def _runs(num: int, den: int) -> Iterator[tuple[str, int]]:
+    """The Stern-Brocot path of num/den > 0 as (step, count) runs.
+
+    The path is the run-length form of the continued fraction [q0; q1, ..., qn]:
+    R^q0 L^q1 R^q2 ..., with the last quotient shortened by one to land on the
+    node.  One divmod per quotient; the first count is 0 when num < den.
+    """
+    step = "R"
+    while den:
+        q, r = divmod(num, den)
+        yield step, q - (r == 0)
+        step = "L" if step == "R" else "R"
+        num, den = den, r
+
+
+def _spell(runs: list[tuple[str, int]]) -> Path:
+    """Join (step, count) runs into a path, refusing one over MAX_LOCATE_STEPS."""
+    steps = sum(count for _, count in runs)
+    if steps > MAX_LOCATE_STEPS:
+        raise ValueError(
+            f"path of {steps} steps is longer than the cap of {MAX_LOCATE_STEPS} steps"
+        )
+    return "".join(step * count for step, count in runs)
 
 
 def _check_entries(a: int, b: int, c: int, d: int) -> None:
@@ -58,10 +90,16 @@ class Mat2:
         _check_entries(a, b, c, d)
         if a * d - b * c != 1:
             raise ValueError(f"not a monoid member: determinant {a * d - b * c}")
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Mat2 is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Mat2 is immutable: cannot delete {name!r}")
 
     @classmethod
     def frame(cls, a: int, b: int, c: int, d: int) -> "Mat2":
@@ -112,13 +150,18 @@ class Mat2:
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
 
+# The slot descriptors' own setters: construction writes through these,
+# since Mat2.__setattr__ refuses every write.
+_set_a, _set_b, _set_c, _set_d = (getattr(Mat2, slot).__set__ for slot in Mat2.__slots__)
+
+
 def _trusted(a: int, b: int, c: int, d: int) -> Mat2:
     """Build without checks; only for entries already known to be valid."""
     m = object.__new__(Mat2)
-    m.a = a
-    m.b = b
-    m.c = c
-    m.d = d
+    _set_a(m, a)
+    _set_b(m, b)
+    _set_c(m, c)
+    _set_d(m, d)
     return m
 
 
@@ -148,26 +191,13 @@ def from_path(path: Path) -> Mat2:
 def decompose(m: Mat2) -> Path:
     """Recover the unique path with ``from_path(decompose(m)) == m``.
 
-    Peels the last generator off the left: when the bottom row dominates the
-    top componentwise the last step was L, when the top dominates it was R
-    (determinant 1 makes the two cases exclusive).  Anything that cannot be
-    peeled down to the identity is not a monoid member.
+    The word of a monoid member (a b; c d) is the Stern-Brocot path of its
+    Farey shadow (b+d)/(a+c), read off in one division per continued-fraction
+    quotient.  A path longer than MAX_LOCATE_STEPS is refused with ValueError.
     """
     if not isinstance(m, Mat2):
         raise TypeError("decompose expects a Mat2")
+    _check_entries(m.a, m.b, m.c, m.d)
     if m.det != 1:
         raise ValueError(f"not a monoid member: determinant {m.det}")
-    a, b, c, d = m.a, m.b, m.c, m.d
-    steps: list[str] = []
-    while (a, b, c, d) != (1, 0, 0, 1):
-        if c >= a and d >= b:
-            steps.append("L")
-            c -= a
-            d -= b
-        elif a >= c and b >= d:
-            steps.append("R")
-            a -= c
-            b -= d
-        else:
-            raise ValueError("not a monoid member: peeling failed")
-    return "".join(reversed(steps))
+    return _spell(list(_runs(m.b + m.d, m.a + m.c)))

@@ -86,14 +86,18 @@ class ExtendedRational:
         return f"ExtendedRational({self.num}, {self.den})"
 
 
+def _int_digit_limit() -> int:
+    """sys.get_int_max_str_digits(), or 0 (no limit) on Pythons before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _parse_int(digits: str) -> int:
     """int() of an optionally signed decimal digit string.
 
     A string longer than Python converts (sys.get_int_max_str_digits) is
     refused with a ValueError that names its digit count, before int() sees it.
     """
-    # Pythons without the limit (before 3.10.7) convert any length.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_digit_limit()
     count = len(digits) - digits.startswith("-")
     if limit and count > limit:
         raise ValueError(

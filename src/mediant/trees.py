@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Union
 
-from .matrices import Mat2, Path, validate_path
+from .matrices import MAX_LOCATE_STEPS, Mat2, Path, _runs, _spell, validate_path
 from .rational import ExtendedRational, mediant
 from .stern import fusc
 
@@ -35,9 +35,6 @@ __all__ = [
 
 _ZERO = ExtendedRational(0, 1)
 _INF = ExtendedRational(1, 0)
-
-# Longest path cw_locate/sb_locate will spell out, one character per step.
-MAX_LOCATE_STEPS = 10**7
 
 _STEP_BITS = str.maketrans("LR", "01")
 _BIT_STEPS = str.maketrans("01", "LR")
@@ -117,36 +114,13 @@ def _require_positive_finite(q: ExtendedRational) -> None:
 def cw_locate(q: ExtendedRational) -> Path:
     """The unique path with cw_value(path) = q.
 
-    Reverse subtractive Euclid: a/b with a > b is a right child of (a-b)/b,
-    with a < b a left child of a/(b-a).  Runs of equal steps are taken in one
-    division, so the cost is the number of continued-fraction terms, not the
-    path length.  A path longer than MAX_LOCATE_STEPS is refused with
-    ValueError before it is built.
+    By Backhouse and Ferreira's transpose-shadow theorem it is the
+    Stern-Brocot path of q reversed, so it costs one division per
+    continued-fraction quotient, not one step per character.  A path longer
+    than MAX_LOCATE_STEPS is refused with ValueError before it is built.
     """
     _require_positive_finite(q)
-    a, b = q.num, q.den
-    runs = []
-    while a != b:
-        if a > b:
-            j = (a - 1) // b
-            runs.append(("R", j))
-            a -= j * b
-        else:
-            j = (b - 1) // a
-            runs.append(("L", j))
-            b -= j * a
-    runs.reverse()
-    return _spell(runs)
-
-
-def _spell(runs: list[tuple[str, int]]) -> Path:
-    """Join (step, count) runs into a path, refusing one over MAX_LOCATE_STEPS."""
-    steps = sum(j for _, j in runs)
-    if steps > MAX_LOCATE_STEPS:
-        raise ValueError(
-            f"path of {steps} steps is longer than the {MAX_LOCATE_STEPS} steps locate spells out"
-        )
-    return "".join(step * j for step, j in runs)
+    return _spell(list(_runs(q.num, q.den))[::-1])
 
 
 def sb_node(path: Path) -> SBNode:
@@ -191,26 +165,17 @@ def sb_locate(q: ExtendedRational) -> Path:
     A path longer than MAX_LOCATE_STEPS is refused with ValueError.
     """
     _require_positive_finite(q)
-    a, b = q.num, q.den
-    runs = []
-    step = "R"
-    while b:
-        j, r = divmod(a, b)
-        if r == 0:
-            j -= 1
-        runs.append((step, j))
-        step = "L" if step == "R" else "R"
-        a, b = b, r
-    return _spell(runs)
+    return _spell(list(_runs(q.num, q.den)))
 
 
 def best_approximation(target_num: int, target_den: int, max_den: int) -> ExtendedRational:
     """The fraction with denominator <= max_den closest to target_num/target_den.
 
     Ties break toward the smaller denominator, then the smaller numerator.
-    Pure integer arithmetic throughout: the Stern-Brocot descent is batched
-    (one division per continued-fraction quotient) and clipped to the
-    denominator bound, leaving the two tightest bracketing candidates.
+    Pure integer arithmetic throughout: the Stern-Brocot descent follows the
+    target's runs (one division per continued-fraction quotient) and stops at
+    the first run the denominator bound clips, leaving the two tightest
+    bracketing candidates.
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
@@ -218,32 +183,25 @@ def best_approximation(target_num: int, target_den: int, max_den: int) -> Extend
     _require_positive_finite(target)
     if target.den <= max_den:
         return target
-    lo, hi = _ZERO, _INF
-    while lo.den + hi.den <= max_den:
-        # Scaled distances to the bounds: P ~ target - lo, Q ~ hi - target.
-        p = target.num * lo.den - lo.num * target.den
-        q = hi.num * target.den - target.num * hi.den
-        if q > p:
-            # Next mediants are above target: take L steps while that holds,
-            # clipped so the new hi denominator stays within max_den.
-            j = min((q - 1) // p, (max_den - hi.den) // lo.den)
-            hi = ExtendedRational(j * lo.num + hi.num, j * lo.den + hi.den)
+    a, b, c, d = 0, 1, 1, 0  # bounds lo = a/b, hi = c/d
+    for step, count in _runs(target.num, target.den):
+        if step == "R":
+            j = min(count, (max_den - b) // d) if d else count
+            a, b = a + j * c, b + j * d
         else:
-            j = (p - 1) // q
-            if hi.den:
-                j = min(j, (max_den - lo.den) // hi.den)
-            lo = ExtendedRational(lo.num + j * hi.num, lo.den + j * hi.den)
+            j = min(count, (max_den - d) // b)
+            c, d = c + j * a, d + j * b
+        if j < count:
+            break
     # target sits strictly between lo and hi; pick the closer bound.
-    p = target.num * lo.den - lo.num * target.den
-    q = hi.num * target.den - target.num * hi.den
-    order = p * hi.den - q * lo.den
-    if order < 0:
-        return lo
-    if order > 0:
-        return hi
-    if lo.den != hi.den:
-        return lo if lo.den < hi.den else hi
-    return lo if lo.num < hi.num else hi
+    # Scaled distances to the bounds: p ~ target - lo, q ~ hi - target.
+    p = target.num * b - a * target.den
+    q = c * target.den - target.num * d
+    order = p * d - q * b
+    # a tie goes to the smaller denominator, then the smaller numerator
+    if order < 0 or (order == 0 and (b, a) < (d, c)):
+        return ExtendedRational(a, b)
+    return ExtendedRational(c, d)
 
 
 def _cw_children(state):

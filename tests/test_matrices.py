@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from mediant.matrices import (
     IDENTITY,
     Mat2,
+    _trusted,
     decompose,
     from_path,
     generators,
@@ -108,6 +110,16 @@ def test_decompose_examples():
     # pinned against exhaustive search, and against the figure position:
     # (3 2; 1 1) sits fourth in level 3, offset 3 = LRR
     assert decompose(Mat2(3, 2, 1, 1)) == "LRR" == brute_force_path(Mat2(3, 2, 1, 1), 3)
+    # built unchecked, as the sweeps build their nodes
+    m = _trusted(1, 2, 0, 1)
+    assert decompose(m) == "RR" and from_path("RR") == m
+
+
+def test_decompose_takes_one_division_per_run():
+    start = time.perf_counter()
+    assert decompose(Mat2(1, 0, 10**6, 1)) == "L" * 10**6
+    assert decompose(Mat2(1, 10**6, 0, 1)) == "R" * 10**6
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decompose_matches_brute_force_to_depth_4():
@@ -161,11 +173,23 @@ def test_decompose_rejects_non_members():
         decompose(Mat2.frame(0, 1, 1, 0))
     with pytest.raises(TypeError):
         decompose("LR")
+    with pytest.raises(ValueError):
+        decompose(_trusted(1, -1, 0, 1))  # determinant 1, negative entry
 
 
 def test_text_form():
     assert str(Mat2(2, 1, 1, 1)) == "[[2,1],[1,1]]"
     assert str(IDENTITY) == "[[1,0],[0,1]]"
+
+
+def test_mat2_slots_cannot_be_written():
+    m = from_path("LR")
+    with pytest.raises(AttributeError):
+        m.a = 7
+    with pytest.raises(AttributeError):
+        del m.a
+    assert str(m) == "[[2,1],[1,1]]"
+    assert m.det == 1
 
 
 def test_mat2_hashable():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediant.matrices import Mat2, from_path
+from mediant.matrices import Mat2, decompose, from_path
 from mediant.rational import ExtendedRational, is_z_distinct, mediant
 from mediant.trees import (
     MAX_LOCATE_STEPS,
@@ -375,10 +376,18 @@ def test_locate_refuses_paths_over_the_step_cap():
     # n/1 sits at R^(n-1) in both trees
     at_cap = er(MAX_LOCATE_STEPS + 1)
     assert cw_locate(at_cap) == sb_locate(at_cap) == "R" * MAX_LOCATE_STEPS
-    for value in (er(MAX_LOCATE_STEPS + 2), er(10**20), er(1, 10**20)):
-        for locate in (cw_locate, sb_locate):
-            with pytest.raises(ValueError, match=r"path of \d+ steps"):
-                locate(value)
+    # and (1 0; n 1) is L^n in the matrix tree
+    over_cap = [
+        (locate, value)
+        for value in (er(MAX_LOCATE_STEPS + 2), er(10**20), er(1, 10**20))
+        for locate in (cw_locate, sb_locate)
+    ]
+    over_cap.append((decompose, Mat2(1, 0, 10**20, 1)))
+    for spell, value in over_cap:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"path of \d+ steps"):
+            spell(value)
+        assert time.perf_counter() - start < 1.0
 
 
 KINDS = ["calkin-wilf", "stern-brocot", "matrix"]

@@ -13,11 +13,12 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .rational import ExtendedRational, _int_digit_limit, _parse_int, farey_sequence
 from .shadows import verify_theorem
-from .stern import fusc, stern
+from .stern import _newman, fusc
 from .topograph import forward_tree, verify_topograph_proof
 from .trees import best_approximation, bfs_index, cw_locate, level_iter, sb_locate
 
@@ -25,6 +26,9 @@ __all__ = ["RenderConfig", "build_parser", "main", "parse_target", "render"]
 
 _TREE_KINDS = {"cw": "calkin-wilf", "sb": "stern-brocot", "matrix": "matrix"}
 _FORMATS = ("text", "json", "dot")
+
+# Terms per stdout write in `stern --count`.
+_STERN_CHUNK = 4096
 
 # 2^21 - 1 nodes; deep enough for anything interactive, small enough to stay
 # out of swap.  Raise per run with --max-depth-cap.
@@ -157,8 +161,9 @@ def _cmd_locate(args: argparse.Namespace) -> int:
 def _cmd_stern(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError("--count must be non-negative")
-    for n in range(args.count):
-        print(stern(n))
+    terms = _newman(args.count)
+    while chunk := "".join(f"{s}\n" for s in islice(terms, _STERN_CHUNK)):
+        sys.stdout.write(chunk)
     return 0
 
 

@@ -1,8 +1,12 @@
-"""Stern's diatomic sequence, the hyperbinary counting function, and a DP oracle."""
+"""Stern's diatomic sequence, the hyperbinary counting function, and a DP oracle.
+
+Point values come from a binary descent in O(log n) time and O(1) memory, and
+the whole sequence streams by Newman's successor; nothing is tabulated.
+"""
 
 from __future__ import annotations
 
-import threading
+from typing import Iterator
 
 __all__ = ["SternTable", "fusc", "hyperbinary_count_oracle", "stern"]
 
@@ -10,56 +14,30 @@ __all__ = ["SternTable", "fusc", "hyperbinary_count_oracle", "stern"]
 def _stern_pair(n: int) -> tuple[int, int]:
     """(s(n), s(n+1)) by binary descent, O(log n), no table."""
     a, b = 0, 1
-    for shift in range(n.bit_length() - 1, -1, -1):
-        if (n >> shift) & 1:
-            a, b = a + b, b
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            a += b
         else:
-            a, b = a, a + b
+            b += a
     return a, b
 
 
-_HORIZON = 1 << 20
-
-
-class SternTable:
-    """Dense memo of the diatomic sequence.
-
-    s(0) = 0, s(1) = 1, s(2n) = s(n), s(2n+1) = s(n) + s(n+1).  The table
-    grows on demand up to _HORIZON; larger indices fall back to the
-    logarithmic pair descent and are not stored.  Growth is lock-guarded so
-    the table may be shared between threads.
-    """
-
-    def __init__(self):
-        self._values = [0, 1]
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def value(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("sequence index must be non-negative")
-        if n >= _HORIZON:
-            return _stern_pair(n)[0]
-        if n >= len(self._values):
-            self._grow(n)
-        return self._values[n]
-
-    def _grow(self, n: int) -> None:
-        with self._lock:
-            values = self._values
-            for i in range(len(values), n + 1):
-                half = values[i >> 1]
-                values.append(half if i & 1 == 0 else half + values[(i >> 1) + 1])
-
-
-_TABLE = SternTable()
+def _newman(count: int) -> Iterator[int]:
+    """s(0), ..., s(count - 1) in O(1) memory by Newman's successor
+    s(n+2) = (2*floor(s(n)/s(n+1)) + 1)*s(n+1) - s(n)
+    (Gibbons, Lester & Bird, "Enumerating the rationals", JFP 16(3), 2006)."""
+    a, b = 0, 1
+    for _ in range(count):
+        yield a
+        a, b = b, (2 * (a // b) + 1) * b - a
 
 
 def stern(n: int) -> int:
-    """The diatomic sequence s(n)."""
-    return _TABLE.value(n)
+    """The diatomic sequence s(n): s(0) = 0, s(1) = 1, s(2n) = s(n),
+    s(2n+1) = s(n) + s(n+1)."""
+    if n < 0:
+        raise ValueError("sequence index must be non-negative")
+    return _stern_pair(n)[0]
 
 
 def fusc(n: int) -> int:
@@ -70,7 +48,18 @@ def fusc(n: int) -> int:
     """
     if n < 0:
         raise ValueError("sequence index must be non-negative")
-    return _TABLE.value(n + 1)
+    return _stern_pair(n + 1)[0]
+
+
+class SternTable:
+    """Stateless: value(n) is stern(n).
+
+    It exists only because perfbench/layers.py reads it by name; ROADMAP
+    item 4 (benchmark v2) retires it.
+    """
+
+    def value(self, n: int) -> int:
+        return stern(n)
 
 
 def hyperbinary_count_oracle(n: int) -> int:

@@ -102,17 +102,16 @@ def neighbors(v: Vertex) -> tuple[Vertex, Vertex, Vertex]:
     return tuple(out)
 
 
-def forward_tree(depth: int, prefix: Path = "") -> Iterator[OrientedVertex]:
+def forward_tree(depth: int) -> Iterator[OrientedVertex]:
     """BFS of forward-flow frames from the root edge {0/1, 1/0}.
 
     Root frame (left 0/1, right 1/0, forward 1/1).  The left child keeps the
     left label and advances across the edge {left, forward}; the right child
     keeps the right label.  That is the Stern-Brocot bounds descent, so the
     frames are trees.walk("stern-brocot") states, in breadth-first order by
-    iterative deepening.  Yields 2^(depth+1) - 1 frames for levels 0..depth;
-    a non-empty `prefix` restricts to that subtree, as in trees.level_iter.
+    iterative deepening.  Yields 2^(depth+1) - 1 frames for levels 0..depth.
     """
-    return (_frame(path, state) for path, state in _breadth_first("stern-brocot", depth, prefix))
+    return (_frame(path, state) for path, state in _breadth_first("stern-brocot", depth))
 
 
 def _frame(path: Path, state: tuple[int, int, int, int]) -> OrientedVertex:

@@ -14,7 +14,7 @@ from typing import Any, Iterator, Union
 
 from .matrices import MAX_LOCATE_STEPS, Mat2, Path, _runs, _spell, validate_path
 from .rational import ExtendedRational, mediant
-from .stern import fusc
+from .stern import _stern_pair
 
 __all__ = [
     "MAX_LOCATE_STEPS",
@@ -103,7 +103,7 @@ def cw_unrank(n: int) -> ExtendedRational:
     """The n-th Calkin-Wilf value in BFS order: fusc(n)/fusc(n+1)."""
     if n < 0:
         raise ValueError("BFS index must be non-negative")
-    return ExtendedRational(fusc(n), fusc(n + 1))
+    return ExtendedRational(*_stern_pair(n + 1))
 
 
 def _require_positive_finite(q: ExtendedRational) -> None:
@@ -270,27 +270,26 @@ def _walk(root, children, depth: int, prefix: Path) -> Iterator[tuple[Path, Any]
             stack.append((path + "L", left))
 
 
-def _breadth_first(kind: str, depth: int, prefix: Path) -> Iterator[tuple[Path, Any]]:
+def _breadth_first(kind: str, depth: int) -> Iterator[tuple[Path, Any]]:
     """walk's pairs level by level, left to right, in O(depth) memory: by
     iterative deepening, level k is the depth-k nodes of one walk to depth k."""
-    root, children = _start(kind, depth, prefix)
+    root, children = _start(kind, depth, "")
     return (
         (path, state)
-        for level in range(len(prefix), depth + 1)
-        for path, state in _walk(root, children, level, prefix)
+        for level in range(depth + 1)
+        for path, state in _walk(root, children, level, "")
         if len(path) == level
     )
 
 
-def level_iter(kind: str, depth: int, prefix: Path = "") -> Iterator[TreeNode]:
-    """Yield TreeNode values level by level, left to right, levels 0..depth.
+def level_iter(kind: str, depth: int) -> Iterator[TreeNode]:
+    """Yield TreeNode values level by level, left to right, levels 0..depth:
+    exactly 2^(depth+1) - 1 nodes.
 
-    The whole tree by default: exactly 2^(depth+1) - 1 nodes.  `kind` is one
-    of "calkin-wilf", "stern-brocot" or "matrix"; the matrix tree yields Mat2
-    values.  A non-empty `prefix` restricts the sweep to that subtree (levels
-    |prefix|..depth); each node's offset still counts from the left end of
-    the whole tree.  The order comes from iterative deepening over walk.
+    `kind` is one of "calkin-wilf", "stern-brocot" or "matrix"; the matrix
+    tree yields Mat2 values.  The order comes from iterative deepening over
+    walk.
     """
-    states = _breadth_first(kind, depth, prefix)
+    states = _breadth_first(kind, depth)
     value_of = _TREE_RULES[kind][2]
     return (TreeNode(path, value_of(state)) for path, state in states)

@@ -6,6 +6,7 @@ cleanup that drops one would only show when the benchmark runs with
 --trace 1; these tests show it in the suite.
 """
 
+import random
 import re
 from pathlib import Path
 
@@ -58,7 +59,11 @@ def test_bench_name_exists(name):
 
 def test_bench_calls_keep_their_shapes():
     m = mediant
-    assert m.SternTable().value(5) == m.stern(5) == 3
+    # layers.py's stern.fill_s span and its fresh-table probe
+    table = m.SternTable()
+    assert table.value(2**20 - 1) == 20
+    probe = random.Random(5).randrange(1, 2**20)
+    assert table.value(probe) == m.hyperbinary_count_oracle(probe - 1)
     left, right = m.generators()
     assert (left, right) == (m.Mat2(1, 0, 1, 1), m.Mat2(1, 1, 0, 1))
     assert m.topograph.from_path("LR") == m.from_path("LR")

@@ -9,8 +9,9 @@ import time
 import pytest
 
 import mediant.shadows
-from mediant.cli import RenderConfig, _printable, main, parse_target, render
+from mediant.cli import _STERN_CHUNK, RenderConfig, _printable, main, parse_target, render
 from mediant.rational import ExtendedRational
+from mediant.stern import stern
 from mediant.trees import best_approximation, cw_value
 
 
@@ -122,6 +123,13 @@ def test_stern_sequence():
     code, out, _ = run_cli("stern", "--count", "6")
     assert code == 0
     assert out == "0\n1\n1\n2\n1\n3\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 6, _STERN_CHUNK - 1, _STERN_CHUNK, _STERN_CHUNK + 1])
+def test_stern_count_writes_every_term_once(count):
+    code, out, _ = run_cli("stern", "--count", str(count))
+    assert code == 0
+    assert out == "".join(f"{stern(n)}\n" for n in range(count))
 
 
 def test_stern_rejects_negative_count():

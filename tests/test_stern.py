@@ -1,5 +1,7 @@
-import importlib
+import contextlib
 import math
+import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -7,10 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mediant.stern import SternTable, fusc, hyperbinary_count_oracle, stern
-
-# the package attribute mediant.stern is the function; this is the module
-stern_module = importlib.import_module("mediant.stern")
+from mediant.cli import main
+from mediant.stern import SternTable, _newman, _stern_pair, fusc, hyperbinary_count_oracle, stern
+from mediant.trees import cw_unrank
 
 # s(0)..s(16)
 FIRST = [0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4, 1]
@@ -82,13 +83,31 @@ def test_consecutive_coprimality():
         assert math.gcd(fusc(n), fusc(n + 1)) == 1
 
 
-def test_table_horizon_fallback(monkeypatch):
-    expected = [stern(n) for n in range(40)]
-    monkeypatch.setattr(stern_module, "_HORIZON", 16)
+def test_newman_successor_matches_the_descent():
+    assert list(_newman(1 << 16)) == [_stern_pair(n)[0] for n in range(1 << 16)]
+
+
+def test_point_values_and_the_stream_hold_no_table():
+    def count():
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(["stern", "--count", "100000"]) == 0
+
+    calls = [lambda: stern(2**20 - 1), lambda: fusc(2**20 + 5), lambda: cw_unrank(2**20), count]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+
+def test_table_horizon_fallback():
+    # the class keeps no table; every index, either side of 2^20, is a descent
+    ns = [*range(40), *range(2**20 - 3, 2**20 + 3), *range(2**64 - 3, 2**64 + 3)]
     table = SternTable()
-    assert [table.value(n) for n in range(40)] == expected
-    # nothing beyond the horizon is memoized
-    assert len(table) <= 16
+    assert [table.value(n) for n in ns] == [stern(n) for n in ns]
 
 
 def test_table_validation():

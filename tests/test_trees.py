@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mediant.matrices import Mat2, decompose, from_path
 from mediant.rational import ExtendedRational, is_z_distinct, mediant
+from mediant.stern import fusc
 from mediant.trees import (
     MAX_LOCATE_STEPS,
     best_approximation,
@@ -54,6 +55,11 @@ def test_cw_unrank_examples():
     assert cw_unrank(4) == er(3, 2)
     with pytest.raises(ValueError):
         cw_unrank(-1)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_cw_unrank_is_the_fusc_ratio(n):
+    assert cw_unrank(n) == er(fusc(n), fusc(n + 1))
 
 
 def test_bfs_rank_agreement():
@@ -331,21 +337,19 @@ def test_level_iter_node_fields():
         assert bfs_index(node.path) == (1 << node.level) - 1 + node.offset
 
 
-@pytest.mark.parametrize("kind", ["calkin-wilf", "stern-brocot", "matrix"])
-def test_level_iter_subtree_prefix(kind):
-    whole = {n.path: n for n in level_iter(kind, 6)}
-    shard = list(level_iter(kind, 6, "LR"))
-    assert [n.path for n in shard] == [p for p in whole if p.startswith("LR")]
-    assert all(whole[n.path] == n for n in shard)
-
-
 def test_level_iter_validates_before_iteration():
     with pytest.raises(ValueError):
         level_iter("bird", 2)
     with pytest.raises(ValueError):
         level_iter("calkin-wilf", -1)
-    with pytest.raises(ValueError):
-        level_iter("calkin-wilf", 2, "LLL")
+
+
+def test_walk_validates_before_iteration():
+    # walk keeps its prefix: the sweeps shard the tree through it
+    for kind, depth, prefix in (("bird", 2, ""), ("matrix", -1, ""),
+                                ("matrix", 2, "X"), ("calkin-wilf", 2, "LLL")):
+        with pytest.raises(ValueError):
+            walk(kind, depth, prefix)
 
 
 def test_level_iter_count():
@@ -431,6 +435,8 @@ def _node_value(kind, state):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("prefix", ["", "LR"])
 def test_level_iter_is_walk_stably_sorted_by_level(kind, prefix):
+    # with a prefix, walk's shard is the matching part of the whole level order
     by_level = sorted(walk(kind, 8, prefix), key=lambda item: len(item[0]))
     expected = [(path, _node_value(kind, state)) for path, state in by_level]
-    assert [(node.path, node.value) for node in level_iter(kind, 8, prefix)] == expected
+    got = [(node.path, node.value) for node in level_iter(kind, 8)]
+    assert [item for item in got if item[0].startswith(prefix)] == expected

@@ -1,7 +1,7 @@
 """Command-line surface: tree rendering, locate, sequences, verification,
 and best approximation.
 
-Exit codes: 0 success, 1 verification found a counterexample, 2 usage error.
+Exit codes: 0 success, 1 counterexample found, 2 usage error, 141 stdout closed early.
 Structured output is JSON on stdout; diagnostics go to stderr.
 """
 
@@ -10,28 +10,27 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Optional, Sequence
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .rational import ExtendedRational, _int_digit_limit, _parse_int, farey_sequence
+from .rational import ExtendedRational, _farey, _int_digit_limit, _parse_int
 from .shadows import verify_theorem
 from .stern import _newman, fusc
 from .topograph import forward_tree, verify_topograph_proof
-from .trees import best_approximation, bfs_index, cw_locate, level_iter, sb_locate
+from .trees import best_approximation, bfs_index, cw_locate, index_to_path, level_iter, sb_locate
 
 __all__ = ["RenderConfig", "build_parser", "main", "parse_target", "render"]
 
 _TREE_KINDS = {"cw": "calkin-wilf", "sb": "stern-brocot", "matrix": "matrix"}
 _FORMATS = ("text", "json", "dot")
 
-# Terms per stdout write in `stern --count`.
-_STERN_CHUNK = 4096
-
-# 2^21 - 1 nodes; deep enough for anything interactive, small enough to stay
-# out of swap.  Raise per run with --max-depth-cap.
+# 2^21 - 1 nodes.  Output streams in O(depth) memory, so this bounds run time,
+# not memory.  Raise per run with --max-depth-cap.
 DEFAULT_DEPTH_CAP = 20
 
 
@@ -61,44 +60,57 @@ class RenderConfig:
         _check_depth_cap(self.depth, self.max_depth_cap)
 
 
-def _rows(config: RenderConfig) -> Iterator[tuple[str, int, str, dict]]:
-    """(path, level, text label, json object) per node, in BFS order."""
+def _rows(config: RenderConfig) -> Iterator[tuple[str, str, tuple[tuple[str, str], ...]]]:
+    """(path, text label, json fields after "path") per node, in BFS order."""
     if config.kind == "topograph":
         for frame in forward_tree(config.depth):
-            label = f"({frame.left} {frame.forward} {frame.right})"
-            yield frame.path, len(frame.path), label, {
-                "path": frame.path,
-                "left": str(frame.left),
-                "right": str(frame.right),
-                "forward": str(frame.forward),
-            }
+            left, right, forward = str(frame.left), str(frame.right), str(frame.forward)
+            fields = (("left", left), ("right", right), ("forward", forward))
+            yield frame.path, f"({left} {forward} {right})", fields
     else:
         for node in level_iter(_TREE_KINDS[config.kind], config.depth):
             label = str(node.value)
-            yield node.path, node.level, label, {"path": node.path, "value": label}
+            yield node.path, label, (("value", label),)
+
+
+def _render_pieces(config: RenderConfig) -> Iterator[str]:
+    """render(config) in pieces, made one node at a time in O(depth) memory."""
+    rows = _rows(config)
+    if config.format == "text":
+        for path, label, _fields in rows:
+            # a path with no R step is the leftmost node of its level
+            yield ("" if not path else " " if "R" in path else "\n") + label
+    elif config.format == "json":  # json.dumps(list_of_nodes, indent=2), laid out by hand
+        sep = "[\n"
+        for path, _label, fields in rows:
+            body = "".join(f',\n    "{key}": {_json_str(value)}' for key, value in fields)
+            yield f'{sep}  {{\n    "path": {_json_str(path)}{body}\n  }}'
+            sep = ",\n"
+        yield "\n]"
+    else:
+        yield f"digraph {config.kind} {{"
+        for path, label, _fields in rows:
+            yield f'\n  "{path or "root"}" [label="{label}"];'
+        for index in range(1, 2 ** (config.depth + 1) - 1):  # every node but the root
+            path = index_to_path(index)
+            yield f'\n  "{path[:-1] or "root"}" -> "{path}";'
+        yield "\n}"
 
 
 def render(config: RenderConfig) -> str:
     """Render per config: text is one level per line, json an array of nodes,
     dot a digraph with stable path-string node ids (root id "root")."""
-    rows = list(_rows(config))
-    if config.format == "text":
-        levels: list[list[str]] = []
-        for _, level, label, _doc in rows:
-            if level == len(levels):
-                levels.append([])
-            levels[level].append(label)
-        return "\n".join(" ".join(labels) for labels in levels)
-    if config.format == "json":
-        return json.dumps([doc for *_ignored, doc in rows], indent=2)
-    lines = [f"digraph {config.kind} {{"]
-    for path, _, label, _doc in rows:
-        lines.append(f'  "{path or "root"}" [label="{label}"];')
-    for path, *_ignored in rows:
-        if path:
-            lines.append(f'  "{path[:-1] or "root"}" -> "{path}";')
-    lines.append("}")
-    return "\n".join(lines)
+    return "".join(_render_pieces(config))
+
+
+def _write(pieces: Iterable[str]) -> int:
+    """Every bulk command's writer: pieces go to stdout as they are made, 256
+    to a write, so few syscalls are made even when stdout is unbuffered."""
+    pieces = iter(pieces)
+    while batch := list(islice(pieces, 256)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.flush()  # a reader that left shows here, not in the flush at exit
+    return 0
 
 
 _DECIMAL_RE = re.compile(r"(-?)(\d+)\.(\d+)\Z")
@@ -123,15 +135,8 @@ def parse_target(text: str) -> ExtendedRational:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    kind = args.kind if args.command == "tree" else "topograph"
-    config = RenderConfig(
-        kind=kind,
-        depth=args.depth,
-        format=args.format,
-        max_depth_cap=args.max_depth_cap,
-    )
-    print(render(config))
-    return 0
+    config = RenderConfig(args.kind, args.depth, args.format, args.max_depth_cap)
+    return _write(chain(_render_pieces(config), ["\n"]))
 
 
 def _printable(n: int, what: str) -> int:
@@ -161,10 +166,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
 def _cmd_stern(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError("--count must be non-negative")
-    terms = _newman(args.count)
-    while chunk := "".join(f"{s}\n" for s in islice(terms, _STERN_CHUNK)):
-        sys.stdout.write(chunk)
-    return 0
+    return _write(f"{s}\n" for s in _newman(args.count))
 
 
 def _cmd_fusc(args: argparse.Namespace) -> int:
@@ -204,8 +206,9 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_farey(args: argparse.Namespace) -> int:
-    print(json.dumps([str(v) for v in farey_sequence(args.max_den)]))
-    return 0
+    terms = map(_json_str, map(str, _farey(args.max_den)))
+    first = next(terms)  # a refused max_den raises here, before any write
+    return _write(chain(["[", first], (", " + term for term in terms), ["]\n"]))
 
 
 def _add_cap(sub: argparse.ArgumentParser) -> None:
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     topograph.add_argument("--depth", type=int, required=True, metavar="N")
     topograph.add_argument("--format", choices=_FORMATS, default="text")
     _add_cap(topograph)
-    topograph.set_defaults(func=_cmd_tree)
+    topograph.set_defaults(func=_cmd_tree, kind="topograph")
 
     return parser
 
@@ -276,3 +279,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left: send the rest to devnull, exit as SIGPIPE reads
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141

@@ -6,6 +6,7 @@ import functools
 import math
 import re
 import sys
+from typing import Iterator
 
 __all__ = [
     "ExtendedRational",
@@ -129,24 +130,19 @@ def is_z_distinct(x: ExtendedRational, y: ExtendedRational) -> bool:
 
 
 def farey_sequence(max_den: int) -> list[ExtendedRational]:
-    """All reduced fractions in [0, 1] with denominator <= max_den, ascending.
+    """All reduced fractions in [0, 1] with denominator <= max_den, ascending:
+    Z-distinct Farey neighbours, made one at a time in O(1) state by _farey."""
+    return list(_farey(max_den))
 
-    Built by mediant insertion: starting from the bracket (0/1, 1/1), the
-    mediant of each gap is inserted while its denominator stays within the
-    bound.  Consecutive outputs are Z-distinct Farey neighbours.
-    """
+
+def _farey(max_den: int) -> Iterator[ExtendedRational]:
+    """farey_sequence(max_den), lazily.  After neighbours a/b < c/d comes
+    (k*c - a)/(k*d - b) with k = (max_den + b) // d (Graham, Knuth & Patashnik,
+    *Concrete Mathematics* 4.5).  max_den < 1 raises on the first next()."""
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    out = [ExtendedRational(0, 1)]
-    # Explicit in-order traversal; recursion would be ~max_den deep.
-    stack = [(ExtendedRational(0, 1), ExtendedRational(1, 1))]
-    while stack:
-        lo, hi = stack.pop()
-        den = lo.den + hi.den
-        if den > max_den:
-            out.append(hi)
-        else:
-            mid = ExtendedRational(lo.num + hi.num, den)
-            stack.append((mid, hi))
-            stack.append((lo, mid))
-    return out
+    a, b, c, d = 0, 1, 1, max_den
+    while a <= b:  # up to and including 1/1
+        yield ExtendedRational(a, b)
+        k = (max_den + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b

@@ -1,16 +1,18 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import mediant.shadows
-from mediant.cli import _STERN_CHUNK, RenderConfig, _printable, main, parse_target, render
-from mediant.rational import ExtendedRational
+from mediant.cli import RenderConfig, _printable, main, parse_target, render
+from mediant.rational import ExtendedRational, farey_sequence
 from mediant.stern import stern
 from mediant.trees import best_approximation, cw_value
 
@@ -125,7 +127,7 @@ def test_stern_sequence():
     assert out == "0\n1\n1\n2\n1\n3\n"
 
 
-@pytest.mark.parametrize("count", [0, 1, 6, _STERN_CHUNK - 1, _STERN_CHUNK, _STERN_CHUNK + 1])
+@pytest.mark.parametrize("count", [0, 1, 6, 4095, 4096, 4097])
 def test_stern_count_writes_every_term_once(count):
     code, out, _ = run_cli("stern", "--count", str(count))
     assert code == 0
@@ -209,6 +211,18 @@ def test_farey():
     assert json.loads(out) == ["0/1", "1/3", "1/2", "2/3", "1/1"]
 
 
+@pytest.mark.parametrize("max_den", range(1, 41))
+def test_farey_writes_the_json_dumps_layout(max_den):
+    code, out, _ = run_cli("farey", "--max-den", str(max_den))
+    assert code == 0
+    assert out == json.dumps([str(v) for v in farey_sequence(max_den)]) + "\n"
+
+
+def test_farey_refuses_zero_before_writing():
+    code, out, err = run_cli("farey", "--max-den", "0")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_topograph_text():
     code, out, _ = run_cli("topograph", "--depth", "1")
     assert code == 0
@@ -262,6 +276,93 @@ def test_render_config_validation():
         RenderConfig(kind="cw", depth=-1)
     with pytest.raises(ValueError):
         RenderConfig(kind="cw", depth=9, max_depth_cap=8)
+
+
+def _tree_argv(kind, depth, fmt):
+    head = ["topograph"] if kind == "topograph" else ["tree", "--kind", kind]
+    return [*head, "--depth", str(depth), "--format", fmt]
+
+
+@pytest.mark.parametrize("kind", ["cw", "sb", "matrix", "topograph"])
+@pytest.mark.parametrize("depth", range(6))
+def test_json_is_laid_out_as_json_dumps_indent_2(kind, depth):
+    code, out, _ = run_cli(*_tree_argv(kind, depth, "json"))
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["cw", "matrix", "topograph"])
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_render_is_the_cli_output_without_its_newline(kind, fmt):
+    code, out, _ = run_cli(*_tree_argv(kind, 4, fmt))
+    assert code == 0
+    assert render(RenderConfig(kind=kind, depth=4, format=fmt)) + "\n" == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "topograph --depth 13 --format json",
+        "tree --kind matrix --depth 13 --format dot",
+        "tree --kind sb --depth 13",
+        "farey --max-den 300",
+    ],
+)
+def test_bulk_output_streams_in_bounded_memory(argv, monkeypatch):
+    # 16,383 nodes or 27,399 terms: holding one small object per node or term
+    # (a row tuple, an ExtendedRational) already costs several MB
+
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(argv.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20
+
+
+def _buffered_env():
+    # stdout as users get it: block-buffered, so the flush at exit has work to do
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("argv", ["stern --count 1000000", "tree --kind cw --depth 16"])
+def test_closed_pipe_exits_141_without_a_traceback(argv, tmp_path):
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mediant", *argv.split()],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=_buffered_env(),
+        )
+        proc.stdout.readline()
+        proc.stdout.close()  # the output is megabytes, so the writer is still going
+        assert proc.wait(timeout=60) == 141
+        err.seek(0)
+        stderr = err.read()
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+def test_output_into_a_pipe_with_no_reader_exits_141():
+    # a few bytes, still buffered when the command returns: the failure shows in its flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mediant", "farey", "--max-den", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=_buffered_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_render_is_pure():

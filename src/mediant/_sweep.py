@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from itertools import product
 from typing import Any, Callable, Optional, TypeVar
@@ -85,6 +84,8 @@ def run_spans(span_fn: Callable[[str, int], T], depth: int, jobs: int) -> list[T
     if len(parts) == 1:
         prefix, span_depth = parts[0]
         return [span_fn(prefix, span_depth)]
+    # imported only here: loading multiprocessing is a start-up cost no single-span run needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(parts))) as pool:
         return list(pool.map(span_fn, (p for p, _ in parts), (d for _, d in parts)))
 

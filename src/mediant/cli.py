@@ -15,14 +15,14 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rational import ExtendedRational, _farey, _int_digit_limit, _parse_int
 from .shadows import verify_theorem
 from .stern import _newman, fusc
 from .topograph import forward_tree, verify_topograph_proof
-from .trees import best_approximation, bfs_index, cw_locate, index_to_path, level_iter, sb_locate
+from .trees import _TREE_RULES, _breadth_first, best_approximation, bfs_index, cw_locate
+from .trees import index_to_path, sb_locate
 
 __all__ = ["RenderConfig", "build_parser", "main", "parse_target", "render"]
 
@@ -60,17 +60,20 @@ class RenderConfig:
         _check_depth_cap(self.depth, self.max_depth_cap)
 
 
-def _rows(config: RenderConfig) -> Iterator[tuple[str, str, tuple[tuple[str, str], ...]]]:
-    """(path, text label, json fields after "path") per node, in BFS order."""
+def _rows(config: RenderConfig) -> Iterator[tuple[str, str, str]]:
+    """(path, text label, json fields after "path") per node, in BFS order; tree
+    values are made from raw walk states by the rule's value function, not TreeNodes."""
     if config.kind == "topograph":
         for frame in forward_tree(config.depth):
             left, right, forward = str(frame.left), str(frame.right), str(frame.forward)
-            fields = (("left", left), ("right", right), ("forward", forward))
+            fields = f'"left": "{left}",\n    "right": "{right}",\n    "forward": "{forward}"'
             yield frame.path, f"({left} {forward} {right})", fields
     else:
-        for node in level_iter(_TREE_KINDS[config.kind], config.depth):
-            label = str(node.value)
-            yield node.path, label, (("value", label),)
+        kind = _TREE_KINDS[config.kind]
+        value_of = _TREE_RULES[kind][2]
+        for path, state in _breadth_first(kind, config.depth):
+            label = str(value_of(state))
+            yield path, label, f'"value": "{label}"'
 
 
 def _render_pieces(config: RenderConfig) -> Iterator[str]:
@@ -80,11 +83,13 @@ def _render_pieces(config: RenderConfig) -> Iterator[str]:
         for path, label, _fields in rows:
             # a path with no R step is the leftmost node of its level
             yield ("" if not path else " " if "R" in path else "\n") + label
-    elif config.format == "json":  # json.dumps(list_of_nodes, indent=2), laid out by hand
+    elif config.format == "json":
+        # json.dumps(list_of_nodes, indent=2), laid out by hand.  No string needs
+        # escaping: paths are words over "L"/"R", and values (here and in farey) are
+        # written with digits, "/", "-", "[", "]" and ",", none of which JSON escapes.
         sep = "[\n"
         for path, _label, fields in rows:
-            body = "".join(f',\n    "{key}": {_json_str(value)}' for key, value in fields)
-            yield f'{sep}  {{\n    "path": {_json_str(path)}{body}\n  }}'
+            yield f'{sep}  {{\n    "path": "{path}",\n    {fields}\n  }}'
             sep = ",\n"
         yield "\n]"
     else:
@@ -206,9 +211,9 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_farey(args: argparse.Namespace) -> int:
-    terms = map(_json_str, map(str, _farey(args.max_den)))
+    terms = _farey(args.max_den)
     first = next(terms)  # a refused max_den raises here, before any write
-    return _write(chain(["[", first], (", " + term for term in terms), ["]\n"]))
+    return _write(chain([f'["{first}"'], (f', "{term}"' for term in terms), ["]\n"]))
 
 
 def _add_cap(sub: argparse.ArgumentParser) -> None:

@@ -67,12 +67,11 @@ def _spell(runs: list[tuple[str, int]]) -> Path:
 
 
 def _check_entries(a: int, b: int, c: int, d: int) -> None:
-    for entry in (a, b, c, d):
-        # exact type: bool is an int subclass but not a matrix entry
-        if type(entry) is not int:
-            raise TypeError("matrix entries must be integers")
-        if entry < 0:
-            raise ValueError("matrix entries must be non-negative")
+    # exact type: bool is an int subclass but not a matrix entry
+    if type(a) is not int or type(b) is not int or type(c) is not int or type(d) is not int:
+        raise TypeError("matrix entries must be integers")
+    if a < 0 or b < 0 or c < 0 or d < 0:
+        raise ValueError("matrix entries must be non-negative")
 
 
 class Mat2:
@@ -138,7 +137,7 @@ class Mat2:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mat2):
             return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.c, self.d))

@@ -38,16 +38,17 @@ class ExtendedRational:
         # exact type: rejects bool, and costs no more than isinstance
         if type(num) is not int or type(den) is not int:
             raise TypeError("numerator and denominator must be integers")
-        if num == 0 and den == 0:
-            raise ValueError("0/0 is not an extended rational")
-        if den == 0:
-            num = 1
-        elif num == 0:
-            den = 1
-        else:
-            if den < 0:
+        if not (den > 0 and num != 0):  # zero, infinity or a negative denominator
+            if den == 0:
+                if num == 0:
+                    raise ValueError("0/0 is not an extended rational")
+                num = 1
+            elif num == 0:
+                den = 1
+            else:
                 num, den = -num, -den
-            g = math.gcd(num, den)
+        g = math.gcd(num, den)  # 1 for 0/1 and 1/0
+        if g != 1:
             num //= g
             den //= g
         self.num = num

@@ -62,7 +62,7 @@ class Vertex:
         return "{%s}" % ", ".join(str(e) for e in self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrientedVertex:
     """A forward-flow frame: region labels left, right, forward at a path.
 
@@ -114,15 +114,21 @@ def forward_tree(depth: int) -> Iterator[OrientedVertex]:
     return (_frame(path, state) for path, state in _breadth_first("stern-brocot", depth))
 
 
+# Slot setters: _frame writes past the frozen __setattr__ with them, as matrices._trusted does.
+_set_left, _set_right, _set_forward, _set_path = (
+    getattr(OrientedVertex, slot).__set__ for slot in OrientedVertex.__slots__
+)
+
+
 def _frame(path: Path, state: tuple[int, int, int, int]) -> OrientedVertex:
     """The frame of a Stern-Brocot walk state: its bounds and their raw sum."""
     lo_num, lo_den, hi_num, hi_den = state
-    return OrientedVertex(
-        ExtendedRational(lo_num, lo_den),
-        ExtendedRational(hi_num, hi_den),
-        ExtendedRational(lo_num + hi_num, lo_den + hi_den),
-        path,
-    )
+    v = object.__new__(OrientedVertex)
+    _set_left(v, ExtendedRational(lo_num, lo_den))
+    _set_right(v, ExtendedRational(hi_num, hi_den))
+    _set_forward(v, ExtendedRational(lo_num + hi_num, lo_den + hi_den))
+    _set_path(v, path)
+    return v
 
 
 def farey_label(v: OrientedVertex) -> ExtendedRational:

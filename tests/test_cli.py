@@ -14,7 +14,8 @@ import mediant.shadows
 from mediant.cli import RenderConfig, _printable, main, parse_target, render
 from mediant.rational import ExtendedRational, farey_sequence
 from mediant.stern import stern
-from mediant.trees import best_approximation, cw_value
+from mediant.topograph import forward_tree
+from mediant.trees import best_approximation, cw_value, level_iter
 
 
 def run_cli(*argv):
@@ -297,6 +298,90 @@ def test_render_is_the_cli_output_without_its_newline(kind, fmt):
     code, out, _ = run_cli(*_tree_argv(kind, 4, fmt))
     assert code == 0
     assert render(RenderConfig(kind=kind, depth=4, format=fmt)) + "\n" == out
+
+
+def _public_nodes(kind, depth):
+    """(path, text label, json object) per node, read off level_iter or forward_tree."""
+    if kind == "topograph":
+        for frame in forward_tree(depth):
+            left, right, forward = str(frame.left), str(frame.right), str(frame.forward)
+            doc = {"path": frame.path, "left": left, "right": right, "forward": forward}
+            yield frame.path, f"({left} {forward} {right})", doc
+    else:
+        tree = {"cw": "calkin-wilf", "sb": "stern-brocot", "matrix": "matrix"}[kind]
+        for node in level_iter(tree, depth):
+            yield node.path, str(node.value), {"path": node.path, "value": str(node.value)}
+
+
+def _render_from_public_objects(kind, depth, fmt):
+    nodes = list(_public_nodes(kind, depth))
+    if fmt == "json":
+        return json.dumps([doc for _, _, doc in nodes], indent=2)
+    if fmt == "text":
+        levels = [[] for _ in range(depth + 1)]
+        for path, label, _ in nodes:
+            levels[len(path)].append(label)
+        return "\n".join(" ".join(level) for level in levels)
+    lines = [f"digraph {kind} {{"]
+    lines += [f'  "{path or "root"}" [label="{label}"];' for path, label, _ in nodes]
+    lines += [f'  "{path[:-1] or "root"}" -> "{path}";' for path, _, _ in nodes[1:]]
+    return "\n".join(lines + ["}"])
+
+
+@pytest.mark.parametrize("kind", ["cw", "sb", "matrix", "topograph"])
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+@pytest.mark.parametrize("depth", range(9))
+def test_render_matches_the_public_objects(kind, fmt, depth):
+    # render formats raw walk states; the values must still be the public
+    # nodes' ExtendedRational and Mat2 text, in their order
+    expected = _render_from_public_objects(kind, depth, fmt)
+    assert render(RenderConfig(kind=kind, depth=depth, format=fmt)) == expected
+
+
+def test_import_leaves_the_process_pool_modules_unloaded():
+    code = (
+        "import sys, mediant, mediant.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+_VERIFY_IN_A_PROCESS = """
+import contextlib, io, json, os, sys
+os.cpu_count = lambda: 2  # fan out on a one-core host too
+from mediant.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(json.dumps({
+    "code": code,
+    "pool": "concurrent.futures.process" in sys.modules,
+    "reports": [
+        [name, [[k, v] for k, v in report.items() if k != "elapsed_s"]]
+        for name, report in json.loads(out.getvalue()).items()
+    ],
+}))
+"""
+
+
+def test_verify_with_two_jobs_runs_a_real_pool_and_counts_as_one_job():
+    def run(jobs):
+        proc = subprocess.run(
+            [sys.executable, "-c", _VERIFY_IN_A_PROCESS, "verify", "--depth", "6", "--jobs", jobs],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    one, two = run("1"), run("2")
+    assert (one["code"], one["pool"]) == (0, False)
+    assert (two["code"], two["pool"]) == (0, True)
+    assert two["reports"] == one["reports"]  # same keys, key order and counts
+    assert dict(one["reports"][0][1])["nodes"] == 2**7 - 1
 
 
 @pytest.mark.parametrize(

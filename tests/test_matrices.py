@@ -38,6 +38,42 @@ def test_member_constructor_validation():
         Mat2(1, 0, 0.0, 1)
 
 
+_ENTRY_ERRORS = [
+    ((True, 0, 0, 1), TypeError, "matrix entries must be integers"),
+    ((1, 0, 0.0, 1), TypeError, "matrix entries must be integers"),
+    ((1, 0, -1, 1), ValueError, "matrix entries must be non-negative"),
+    ((1, 1, 1, 1), ValueError, None),  # determinant 0: message differs per constructor
+]
+
+
+@pytest.mark.parametrize("entries, error, message", _ENTRY_ERRORS)
+def test_member_constructor_messages(entries, error, message):
+    with pytest.raises(error) as info:
+        Mat2(*entries)
+    assert str(info.value) == (message or "not a monoid member: determinant 0")
+
+
+@pytest.mark.parametrize("entries, error, message", _ENTRY_ERRORS)
+def test_frame_constructor_messages(entries, error, message):
+    with pytest.raises(error) as info:
+        Mat2.frame(*entries)
+    assert str(info.value) == (message or "determinant must be +-1, got 0")
+
+
+@pytest.mark.parametrize("entries, error, message", _ENTRY_ERRORS)
+def test_decompose_messages(entries, error, message):
+    with pytest.raises(error) as info:
+        decompose(_trusted(*entries))
+    assert str(info.value) == (message or "not a monoid member: determinant 0")
+
+
+def test_decompose_messages_for_non_matrices_and_frames():
+    with pytest.raises(TypeError, match=r"\Adecompose expects a Mat2\Z"):
+        decompose((1, 0, 0, 1))
+    with pytest.raises(ValueError, match=r"\Anot a monoid member: determinant -1\Z"):
+        decompose(Mat2.frame(0, 1, 1, 0))
+
+
 def test_frame_constructor():
     f = Mat2.frame(0, 1, 1, 0)
     assert f.det == -1

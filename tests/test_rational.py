@@ -40,6 +40,17 @@ def test_non_integer_rejected():
         ExtendedRational(1, "2")
 
 
+big_int = st.integers(min_value=-(10**30), max_value=10**30)
+
+
+@given(big_int, big_int.filter(lambda n: n != 0))
+def test_construction_reduces_as_fraction_does(num, den):
+    # negative denominators included; zero and infinity are in test_reduction_examples
+    x = ExtendedRational(num, den)
+    f = Fraction(num, den)
+    assert (x.num, x.den) == (f.numerator, f.denominator)
+
+
 @given(any_int, any_int)
 def test_canonical_form(p, q):
     if p == 0 and q == 0:

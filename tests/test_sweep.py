@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import tracemalloc
 
@@ -42,7 +43,8 @@ class FakePool:
 @pytest.fixture
 def fake_pool(monkeypatch):
     FakePool.made = []
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+    # run_spans imports the pool class from concurrent.futures when it fans out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return FakePool.made
 
 

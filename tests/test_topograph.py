@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import mediant.topograph
@@ -7,6 +9,7 @@ from mediant.matrices import IDENTITY, Mat2, from_path, generators
 from mediant.rational import ExtendedRational
 from mediant.topograph import (
     OrientedVertex,
+    _frame,
     Vertex,
     conjugate_shadow,
     farey_label,
@@ -220,6 +223,22 @@ def test_verify_validation():
         verify_topograph_proof(-1)
     with pytest.raises(ValueError):
         verify_topograph_proof(2, jobs=0)
+
+
+@pytest.mark.parametrize("path", ["", "L", "RRL", "LRLRLR"])
+def test_frame_is_an_oriented_vertex(path):
+    state = next(s for p, s in walk("stern-brocot", len(path)) if p == path)
+    lo_num, lo_den, hi_num, hi_den = state
+    built = OrientedVertex(
+        er(lo_num, lo_den), er(hi_num, hi_den), er(lo_num + hi_num, lo_den + hi_den), path
+    )
+    frame = _frame(path, state)
+    assert type(frame) is OrientedVertex
+    assert frame == built and hash(frame) == hash(built)
+    assert str(frame) == str(built) and repr(frame) == repr(built)
+    for field in ("left", "right", "forward", "path"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frame, field, getattr(built, field))
 
 
 def test_report_serialization():

@@ -60,27 +60,31 @@ class RenderConfig:
         _check_depth_cap(self.depth, self.max_depth_cap)
 
 
-def _rows(config: RenderConfig) -> Iterator[tuple[str, str, str]]:
-    """(path, text label, json fields after "path") per node, in BFS order; tree
-    values are made from raw walk states by the rule's value function, not TreeNodes."""
+def _rows(config: RenderConfig) -> Iterator[tuple[str, str]]:
+    """(path, text) per node, in BFS order: the json fields after "path" for
+    --format json, else the label.  Tree values are made from raw walk states
+    by the rule's value function, not TreeNodes."""
+    as_json = config.format == "json"
     if config.kind == "topograph":
         for frame in forward_tree(config.depth):
-            left, right, forward = str(frame.left), str(frame.right), str(frame.forward)
-            fields = f'"left": "{left}",\n    "right": "{right}",\n    "forward": "{forward}"'
-            yield frame.path, f"({left} {forward} {right})", fields
+            left, right, forward = frame.left, frame.right, frame.forward
+            yield frame.path, (
+                f'"left": "{left}",\n    "right": "{right}",\n    "forward": "{forward}"'
+                if as_json else f"({left} {forward} {right})"
+            )
     else:
         kind = _TREE_KINDS[config.kind]
         value_of = _TREE_RULES[kind][2]
         for path, state in _breadth_first(kind, config.depth):
             label = str(value_of(state))
-            yield path, label, f'"value": "{label}"'
+            yield path, f'"value": "{label}"' if as_json else label
 
 
 def _render_pieces(config: RenderConfig) -> Iterator[str]:
     """render(config) in pieces, made one node at a time in O(depth) memory."""
     rows = _rows(config)
     if config.format == "text":
-        for path, label, _fields in rows:
+        for path, label in rows:
             # a path with no R step is the leftmost node of its level
             yield ("" if not path else " " if "R" in path else "\n") + label
     elif config.format == "json":
@@ -88,13 +92,13 @@ def _render_pieces(config: RenderConfig) -> Iterator[str]:
         # escaping: paths are words over "L"/"R", and values (here and in farey) are
         # written with digits, "/", "-", "[", "]" and ",", none of which JSON escapes.
         sep = "[\n"
-        for path, _label, fields in rows:
+        for path, fields in rows:
             yield f'{sep}  {{\n    "path": "{path}",\n    {fields}\n  }}'
             sep = ",\n"
         yield "\n]"
     else:
         yield f"digraph {config.kind} {{"
-        for path, label, _fields in rows:
+        for path, label in rows:
             yield f'\n  "{path or "root"}" [label="{label}"];'
         for index in range(1, 2 ** (config.depth + 1) - 1):  # every node but the root
             path = index_to_path(index)
@@ -212,8 +216,9 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 def _cmd_farey(args: argparse.Namespace) -> int:
     terms = _farey(args.max_den)
-    first = next(terms)  # a refused max_den raises here, before any write
-    return _write(chain([f'["{first}"'], (f', "{term}"' for term in terms), ["]\n"]))
+    num, den = next(terms)  # a refused max_den raises here, before any write
+    # the raw pairs are in lowest terms, so "num/den" is each term's canonical text
+    return _write(chain([f'["{num}/{den}"'], (f', "{a}/{b}"' for a, b in terms), ["]\n"]))
 
 
 def _add_cap(sub: argparse.ArgumentParser) -> None:

@@ -129,10 +129,7 @@ class Mat2:
 
     def __call__(self, x: ExtendedRational) -> ExtendedRational:
         """Moebius action p/q -> (a*p + b*q)/(c*p + d*q): 1/0 -> a/c, 0/1 -> b/d."""
-        return ExtendedRational(
-            self.a * x.num + self.b * x.den,
-            self.c * x.num + self.d * x.den,
-        )
+        return ExtendedRational(*_mobius_core(self.a, self.b, self.c, self.d, x.num, x.den))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mat2):
@@ -152,6 +149,11 @@ class Mat2:
 # The slot descriptors' own setters: construction writes through these,
 # since Mat2.__setattr__ refuses every write.
 _set_a, _set_b, _set_c, _set_d = (getattr(Mat2, slot).__set__ for slot in Mat2.__slots__)
+
+
+def _mobius_core(a: int, b: int, c: int, d: int, p: int, q: int) -> tuple[int, int]:
+    """The raw Moebius action of (a b; c d) on p/q: (a*p + b*q, c*p + d*q)."""
+    return a * p + b * q, c * p + d * q
 
 
 def _trusted(a: int, b: int, c: int, d: int) -> Mat2:

@@ -51,8 +51,19 @@ class ExtendedRational:
         if g != 1:
             num //= g
             den //= g
-        self.num = num
-        self.den = den
+        _set_num(self, num)
+        _set_den(self, den)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ExtendedRational is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ExtendedRational is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: their default
+        # restores slots with setattr, which this class refuses
+        return ExtendedRational, (self.num, self.den)
 
     @classmethod
     def parse(cls, text: str) -> "ExtendedRational":
@@ -86,6 +97,13 @@ class ExtendedRational:
 
     def __repr__(self) -> str:
         return f"ExtendedRational({self.num}, {self.den})"
+
+
+# The slot descriptors' own setters: construction writes through these,
+# since ExtendedRational.__setattr__ refuses every write.
+_set_num, _set_den = (
+    getattr(ExtendedRational, slot).__set__ for slot in ExtendedRational.__slots__
+)
 
 
 def _int_digit_limit() -> int:
@@ -125,6 +143,13 @@ def mediant(x: ExtendedRational, y: ExtendedRational) -> ExtendedRational:
     return ExtendedRational(x.num + y.num, x.den + y.den)
 
 
+def _raw_equal(p: int, q: int, r: int, s: int) -> bool:
+    """ExtendedRational(p, q) == ExtendedRational(r, s), on raw ints, with no
+    gcd: cross-multiplication p*s == q*r.  A raw 0/0 cross-multiplies equal to
+    everything, so 0/0 on either side is unequal to all, 0/0 included."""
+    return p * s == q * r and (p != 0 or q != 0) and (r != 0 or s != 0)
+
+
 def is_z_distinct(x: ExtendedRational, y: ExtendedRational) -> bool:
     """True iff x.num*y.den - x.den*y.num = +-1 (a unimodular pair)."""
     return abs(x.num * y.den - x.den * y.num) == 1
@@ -133,17 +158,19 @@ def is_z_distinct(x: ExtendedRational, y: ExtendedRational) -> bool:
 def farey_sequence(max_den: int) -> list[ExtendedRational]:
     """All reduced fractions in [0, 1] with denominator <= max_den, ascending:
     Z-distinct Farey neighbours, made one at a time in O(1) state by _farey."""
-    return list(_farey(max_den))
+    return [ExtendedRational(a, b) for a, b in _farey(max_den)]
 
 
-def _farey(max_den: int) -> Iterator[ExtendedRational]:
-    """farey_sequence(max_den), lazily.  After neighbours a/b < c/d comes
-    (k*c - a)/(k*d - b) with k = (max_den + b) // d (Graham, Knuth & Patashnik,
-    *Concrete Mathematics* 4.5).  max_den < 1 raises on the first next()."""
+def _farey(max_den: int) -> Iterator[tuple[int, int]]:
+    """farey_sequence(max_den) as raw (num, den) pairs, lazily.  After
+    neighbours a/b < c/d comes (k*c - a)/(k*d - b) with k = (max_den + b) // d
+    (Graham, Knuth & Patashnik, *Concrete Mathematics* 4.5).  Neighbours are
+    unimodular, so every pair is already in lowest terms.  max_den < 1 raises
+    on the first next()."""
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     a, b, c, d = 0, 1, 1, max_den
     while a <= b:  # up to and including 1/1
-        yield ExtendedRational(a, b)
+        yield a, b
         k = (max_den + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b

@@ -2,9 +2,10 @@
 
 Each map exists in two deliberately separate forms: an entry formula and a
 Moebius-action form.  They agree algebraically, but both are kept so tests can
-cross-assert two independent transcriptions instead of one definition.
-verify_theorem sweeps every path down to a depth and compares the shadows
-against the trees built by the tree engine.
+cross-assert two independent transcriptions instead of one definition.  The
+entry formulas are raw-int cores (_cw_core, _farey_core) under thin
+ExtendedRational wrappers.  verify_theorem sweeps every path down to a depth
+and compares the cores' outputs against the trees built by the tree engine.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._sweep import SweepReport, earliest_failure, sweep
-from .matrices import Mat2, _trusted
-from .rational import ExtendedRational
+from .matrices import Mat2
+from .rational import ExtendedRational, _raw_equal
 from .trees import walk
 
 __all__ = [
@@ -29,14 +30,22 @@ __all__ = [
 _ONE = ExtendedRational(1, 1)
 
 
+def _cw_core(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    return a + b, c + d
+
+
+def _farey_core(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    return d + b, c + a
+
+
 def cw_shadow(m: Mat2) -> ExtendedRational:
     """(a b; c d) -> (a+b)/(c+d): the Calkin-Wilf value at the matrix's path."""
-    return ExtendedRational(m.a + m.b, m.c + m.d)
+    return ExtendedRational(*_cw_core(m.a, m.b, m.c, m.d))
 
 
 def farey_shadow(m: Mat2) -> ExtendedRational:
     """(a b; c d) -> (d+b)/(c+a): the Farey value at the matrix's path."""
-    return ExtendedRational(m.d + m.b, m.c + m.a)
+    return ExtendedRational(*_farey_core(m.a, m.b, m.c, m.d))
 
 
 def cw_shadow_mobius(m: Mat2) -> ExtendedRational:
@@ -62,8 +71,10 @@ class TheoremReport(SweepReport):
 
 
 def _check_span(prefix: str, depth: int) -> tuple[int, int, int, Optional[str]]:
-    """Compare both shadows against the tree values over one subtree span,
-    walking the three trees depth first in lock step."""
+    """Compare both shadow cores against the tree values over one subtree span,
+    walking the three trees depth first in lock step.  Raw walk states go
+    straight to the cores (read from the module on every node: tests replace
+    them), so a corrupted rule is counted, not raised."""
     nodes = cw_bad = farey_bad = 0
     first: Optional[str] = None
     frames = zip(
@@ -71,10 +82,9 @@ def _check_span(prefix: str, depth: int) -> tuple[int, int, int, Optional[str]]:
         walk("calkin-wilf", depth, prefix),
         walk("stern-brocot", depth, prefix),
     )
-    for (path, entries), (_, (a, b)), (_, (lo_num, lo_den, hi_num, hi_den)) in frames:
-        m = _trusted(*entries)  # unchecked: a corrupted rule is counted, not raised
-        cw_ok = cw_shadow(m) == ExtendedRational(a, b)
-        farey_ok = farey_shadow(m) == ExtendedRational(lo_num + hi_num, lo_den + hi_den)
+    for (path, entries), (_, (num, den)), (_, (lo_num, lo_den, hi_num, hi_den)) in frames:
+        cw_ok = _raw_equal(*_cw_core(*entries), num, den)
+        farey_ok = _raw_equal(*_farey_core(*entries), lo_num + hi_num, lo_den + hi_den)
         nodes += 1
         cw_bad += not cw_ok
         farey_bad += not farey_ok
@@ -88,7 +98,8 @@ def verify_theorem(depth: int, jobs: int = 1) -> TheoremReport:
 
     Every path with |path| <= depth is visited once; the expected values come
     from the Calkin-Wilf and Stern-Brocot child rules, the actual values from
-    the shadow formulas applied to the matrix tree's nodes.  jobs > 1 shards
-    the sweep by subtree.
+    the shadow formulas' raw-int cores applied to the matrix tree's nodes.
+    Values are compared by cross-multiplication, which is ExtendedRational
+    equality without building one.  jobs > 1 shards the sweep by subtree.
     """
     return sweep(TheoremReport, _check_span, depth, jobs)

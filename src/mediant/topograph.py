@@ -6,7 +6,8 @@ exactly two triples (its mediant and its difference), so directing the edge
 {0/1, 1/0} toward {0/1, 1/0, 1/1} induces a flow with in-degree one
 everywhere, and the forward flow unfolds into a binary tree of oriented
 frames.  Conjugating each frame's Moebius matrix reproduces the matrix tree,
-and verify_topograph_proof checks that correspondence exhaustively.
+and verify_topograph_proof checks that correspondence exhaustively, on the
+raw-int cores under farey_label, vertex_matrix and conjugate_shadow.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Iterator, Optional
 from ._sweep import SweepReport, earliest_failure, sweep
 # from_path and sb_node are not called here; they stay module attributes
 # because perfbench/layers.py times calls through mediant.topograph by name.
-from .matrices import Mat2, Path, _trusted, from_path
-from .rational import ExtendedRational, is_z_distinct
-from .shadows import farey_shadow
+from .matrices import Mat2, Path, _mobius_core, from_path
+from .rational import ExtendedRational, _raw_equal, is_z_distinct
+from .shadows import _farey_core
 from .trees import _breadth_first, sb_node, walk
 
 __all__ = [
@@ -34,9 +35,6 @@ __all__ = [
     "verify_topograph_proof",
     "vertex_matrix",
 ]
-
-_ONE = ExtendedRational(1, 1)
-
 
 @dataclass(frozen=True)
 class Vertex:
@@ -131,9 +129,28 @@ def _frame(path: Path, state: tuple[int, int, int, int]) -> OrientedVertex:
     return v
 
 
+# The raw-int cores under farey_label, vertex_matrix and conjugate_shadow; a
+# frame's raw state is its bounds (lo_num, lo_den, hi_num, hi_den).
+def _label_core(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> tuple[int, int]:
+    return lo_num + hi_num, lo_den + hi_den
+
+
+def _vertex_core(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> tuple[int, int, int, int]:
+    return lo_num, hi_num, lo_den, hi_den
+
+
+def _conjugate_core(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    return c, a, d, b
+
+
+def _bounds(v: OrientedVertex) -> tuple[int, int, int, int]:
+    return v.left.num, v.left.den, v.right.num, v.right.den
+
+
 def farey_label(v: OrientedVertex) -> ExtendedRational:
-    """The peak label of the frame: the region between its outgoing edges."""
-    return v.forward
+    """The peak label of the frame: the region between its outgoing edges,
+    the raw sum of its bounds."""
+    return ExtendedRational(*_label_core(*_bounds(v)))
 
 
 def vertex_matrix(v: OrientedVertex) -> Mat2:
@@ -141,7 +158,7 @@ def vertex_matrix(v: OrientedVertex) -> Mat2:
 
     With left = a/c and right = b/d this is (a b; c d), determinant -1.
     """
-    return Mat2.frame(v.left.num, v.right.num, v.left.den, v.right.den)
+    return Mat2.frame(*_vertex_core(*_bounds(v)))
 
 
 def conjugate_shadow(m: Mat2) -> Mat2:
@@ -150,7 +167,7 @@ def conjugate_shadow(m: Mat2) -> Mat2:
     Flips the determinant, so a frame matrix (det -1) lands in the monoid;
     anything else is rejected by the member constructor.
     """
-    return Mat2(m.c, m.a, m.d, m.b)
+    return Mat2(*_conjugate_core(m.a, m.b, m.c, m.d))
 
 
 @dataclass(frozen=True)
@@ -167,13 +184,20 @@ class TopographReport(SweepReport):
     elapsed_s: float
 
 
-def _frame_ok(v: OrientedVertex) -> bool:
-    det = v.left.num * v.right.den - v.left.den * v.right.num
-    if det != -1:
+def _frame_ok(lo_num: int, lo_den: int, hi_num: int, hi_den: int, num: int, den: int) -> bool:
+    """The frame invariants on raw ints: bounds of determinant -1, forward
+    num/den their mediant, and Z-distinct from each bound."""
+    if lo_num * hi_den - lo_den * hi_num != -1:
         return False
-    if v.forward != ExtendedRational(v.left.num + v.right.num, v.left.den + v.right.den):
+    if not _raw_equal(num, den, lo_num + hi_num, lo_den + hi_den):
         return False
-    return is_z_distinct(v.left, v.forward) and is_z_distinct(v.forward, v.right)
+    return abs(lo_num * den - lo_den * num) == 1 and abs(num * hi_den - den * hi_num) == 1
+
+
+def _unimodular(a: int, b: int, c: int, d: int, dets: tuple[int, ...]) -> bool:
+    """Non-negative entries and a determinant in dets: what Mat2 admits with
+    dets (1,), and Mat2.frame with (1, -1)."""
+    return a >= 0 and b >= 0 and c >= 0 and d >= 0 and a * d - b * c in dets
 
 
 def _check_span(prefix: str, depth: int) -> tuple[int, int, int, int, int, Optional[str]]:
@@ -181,29 +205,24 @@ def _check_span(prefix: str, depth: int) -> tuple[int, int, int, int, int, Optio
 
     The flow and the matrix tree are walked depth first in lock step, so
     each frame is compared with the matrix-tree node at the same path in
-    O(1) work and O(depth) memory.
+    O(1) work and O(depth) memory.  Raw walk states go straight to the
+    cores (read from the module on every frame: tests replace them), so a
+    corrupted rule is counted, not raised.  The conjugation check admits
+    what the checked constructors behind conjugate_shadow(vertex_matrix(v))
+    admit: a frame of determinant +-1 whose conjugate is a monoid member.
     """
     frames = conj_bad = label_bad = mobius_bad = frame_bad = 0
     first: Optional[str] = None
     flow = zip(walk("stern-brocot", depth, prefix), walk("matrix", depth, prefix))
-    for (path, state), (_, entries) in flow:
-        v = _frame(path, state)
-        node = _trusted(*entries)  # unchecked: a corrupted rule is counted, not raised
-        try:
-            matrix = vertex_matrix(v)
-        except (TypeError, ValueError):
-            matrix = None
-        try:
-            conj_ok = matrix is not None and conjugate_shadow(matrix) == node
-        except (TypeError, ValueError):
-            conj_ok = False
-        # farey_label is read from the module on every frame: tests replace it.
-        label_ok = farey_label(v) == farey_shadow(node)
-        try:
-            mobius_ok = matrix is not None and matrix(_ONE) == v.forward
-        except (TypeError, ValueError):
-            mobius_ok = False
-        frame_ok = _frame_ok(v)
+    for (path, bounds), (_, node) in flow:
+        num, den = _label_core(*bounds)
+        a, b, c, d = _vertex_core(*bounds)
+        framed = _unimodular(a, b, c, d, (1, -1))
+        shadow = _conjugate_core(a, b, c, d)
+        conj_ok = framed and shadow == node and _unimodular(*shadow, (1,))
+        label_ok = _raw_equal(num, den, *_farey_core(*node))
+        mobius_ok = framed and _raw_equal(*_mobius_core(a, b, c, d, 1, 1), num, den)
+        frame_ok = _frame_ok(*bounds, num, den)
         frames += 1
         conj_bad += not conj_ok
         label_bad += not label_ok
@@ -223,5 +242,8 @@ def verify_topograph_proof(depth: int, jobs: int = 1) -> TopographReport:
     frame invariants (determinant -1, mediant structure, Z-distinctness)
     hold.  The expected values come from the matrix tree, walked in lock
     step with the flow, so they never depend on the flow being checked.
+    The checks call the raw-int cores of the label, vertex-matrix,
+    conjugation and Moebius maps on walk states and compare fractions by
+    cross-multiplication; no ExtendedRational or Mat2 is built per frame.
     """
     return sweep(TopographReport, _check_span, depth, jobs)

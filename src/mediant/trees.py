@@ -124,17 +124,23 @@ def cw_locate(q: ExtendedRational) -> Path:
 
 
 def sb_node(path: Path) -> SBNode:
-    """Stern-Brocot node at `path` by bounds descent from (0/1, 1/0)."""
+    """Stern-Brocot node at `path` by bounds descent from (0/1, 1/0).
+
+    The descent runs on raw ints, one mediant sum per step; only the three
+    results are built as ExtendedRationals.
+    """
     validate_path(path)
-    lo, hi = _ZERO, _INF
-    value = mediant(lo, hi)
+    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 0
     for step in path:
         if step == "L":
-            hi = value
+            hi_num, hi_den = lo_num + hi_num, lo_den + hi_den
         else:
-            lo = value
-        value = mediant(lo, hi)
-    return SBNode(lo, hi, value)
+            lo_num, lo_den = lo_num + hi_num, lo_den + hi_den
+    return SBNode(
+        ExtendedRational(lo_num, lo_den),
+        ExtendedRational(hi_num, hi_den),
+        ExtendedRational(lo_num + hi_num, lo_den + hi_den),
+    )
 
 
 def sb_row(level: int) -> list[ExtendedRational]:

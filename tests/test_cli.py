@@ -164,11 +164,7 @@ def test_verify_parallel():
 
 
 def test_verify_reports_counterexample(monkeypatch):
-    monkeypatch.setattr(
-        mediant.shadows,
-        "cw_shadow",
-        lambda m: ExtendedRational(m.a + m.c, m.b + m.d),
-    )
+    monkeypatch.setattr(mediant.shadows, "_cw_core", lambda a, b, c, d: (a + c, b + d))
     code, out, err = run_cli("verify", "--depth", "3")
     assert code == 1
     doc = json.loads(out)

@@ -1,12 +1,15 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mediant.rational import (
     ExtendedRational,
+    _raw_equal,
     compare,
     farey_sequence,
     is_z_distinct,
@@ -112,6 +115,40 @@ def test_compare_examples():
 def test_hashable():
     assert len({er(1, 2), er(2, 4), er(3, 6)}) == 1
     assert hash(er(-3, 2)) == hash(ExtendedRational(3, -2))
+
+
+def test_slots_cannot_be_written():
+    q = er(1, 2)
+    for name in ("num", "den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, 7)
+    for name in ("num", "den"):
+        with pytest.raises(AttributeError):
+            delattr(q, name)
+    assert (q.num, q.den) == (1, 2) and str(q) == "1/2"
+
+
+@pytest.mark.parametrize("q", [er(-3, 4), er(0), er(1, 0), er(2**70 + 1, 3)])
+def test_copy_and_pickle_round_trip(q):
+    for clone in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert type(clone) is ExtendedRational
+        assert (clone.num, clone.den) == (q.num, q.den)
+
+
+small = st.integers(min_value=-6, max_value=6)
+
+
+@given(small, small, small, small)
+@example(0, 0, 0, 0)
+@example(0, 0, 1, 0)
+@example(3, 5, 0, 0)
+def test_raw_equal_is_extended_rational_equality(p, q, r, s):
+    # a small range hits zeros, infinities and negative denominators often;
+    # 0/0 cross-multiplies equal to everything, so it must match nothing
+    if (p, q) == (0, 0) or (r, s) == (0, 0):
+        assert not _raw_equal(p, q, r, s)
+    else:
+        assert _raw_equal(p, q, r, s) == (er(p, q) == er(r, s))
 
 
 def test_reciprocal():

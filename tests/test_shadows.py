@@ -8,13 +8,15 @@ import mediant.shadows
 from mediant.matrices import IDENTITY, Mat2, from_path
 from mediant.rational import ExtendedRational
 from mediant.shadows import (
+    _cw_core,
+    _farey_core,
     cw_shadow,
     cw_shadow_mobius,
     farey_shadow,
     farey_shadow_mobius,
     verify_theorem,
 )
-from mediant.trees import cw_value, sb_node, sb_row
+from mediant.trees import cw_value, sb_node, sb_row, walk
 
 paths = st.text(alphabet="LR", max_size=40)
 _MIRROR = str.maketrans("LR", "RL")
@@ -48,6 +50,15 @@ def test_both_transcriptions_agree(p):
     m = from_path(p)
     assert cw_shadow(m) == cw_shadow_mobius(m)
     assert farey_shadow(m) == farey_shadow_mobius(m)
+
+
+def test_wrappers_are_their_cores():
+    # the sweep checks the cores; the public maps must be exactly the cores'
+    # output, and still agree with their Moebius forms, an independent route
+    for _, state in walk("matrix", 10):
+        m = Mat2(*state)
+        assert cw_shadow(m) == ExtendedRational(*_cw_core(*state)) == cw_shadow_mobius(m)
+        assert farey_shadow(m) == ExtendedRational(*_farey_core(*state)) == farey_shadow_mobius(m)
 
 
 @given(paths)
@@ -110,16 +121,21 @@ def test_report_serialization():
 
 
 def test_verify_reports_injected_fault(monkeypatch):
-    # corrupt the shadow formula; correct at the root only, so the first
-    # counterexample in BFS order is the path "L"
-    monkeypatch.setattr(
-        mediant.shadows,
-        "cw_shadow",
-        lambda m: ExtendedRational(m.a + m.c, m.b + m.d),
-    )
+    # corrupt the shadow formula's core; correct at the root only, so the
+    # first counterexample in BFS order is the path "L"
+    monkeypatch.setattr(mediant.shadows, "_cw_core", lambda a, b, c, d: (a + c, b + d))
     report = verify_theorem(3)
     assert not report.ok
     assert report.cw_failures > 0
     assert report.farey_failures == 0
     assert report.first_failure_path == "L"
     assert report.as_dict()["first_failure_path"] == "L"
+
+
+@pytest.mark.parametrize("core,counter", [("_cw_core", "cw"), ("_farey_core", "farey")])
+def test_verify_counts_a_zero_over_zero_core(monkeypatch, core, counter):
+    # 0/0 cross-multiplies equal to every value: it must still count as a failure
+    monkeypatch.setattr(mediant.shadows, core, lambda a, b, c, d: (0, 0))
+    report = verify_theorem(3).as_dict()
+    assert report[f"{counter}_failures"] == 15
+    assert report["first_failure_path"] == ""

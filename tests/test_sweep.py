@@ -8,7 +8,6 @@ import mediant._sweep as sweep
 import mediant.shadows
 import mediant.topograph
 from mediant.matrices import from_path
-from mediant.rational import ExtendedRational
 from mediant.shadows import verify_theorem
 from mediant.topograph import verify_topograph_proof
 from mediant.trees import walk
@@ -77,17 +76,16 @@ FAILING = ("LLL", "R")
 
 def _fail_at(monkeypatch, paths):
     """Make one check fail in each sweep, only at the given paths."""
-    wrong = ExtendedRational(0, 1)
+    wrong = (0, 1)
     entries = {(m.a, m.b, m.c, m.d) for m in map(from_path, paths)}
-    cw_shadow = mediant.shadows.cw_shadow
+    cw_core = mediant.shadows._cw_core
     monkeypatch.setattr(
-        mediant.shadows,
-        "cw_shadow",
-        lambda m: wrong if (m.a, m.b, m.c, m.d) in entries else cw_shadow(m),
+        mediant.shadows, "_cw_core", lambda *m: wrong if m in entries else cw_core(*m)
     )
-    farey_label = mediant.topograph.farey_label
+    bounds = {state for path, state in walk("stern-brocot", max(map(len, paths))) if path in paths}
+    label_core = mediant.topograph._label_core
     monkeypatch.setattr(
-        mediant.topograph, "farey_label", lambda v: wrong if v.path in paths else farey_label(v)
+        mediant.topograph, "_label_core", lambda *s: wrong if s in bounds else label_core(*s)
     )
 
 

@@ -5,11 +5,14 @@ import pytest
 import mediant.topograph
 import mediant.trees
 from mediant.shadows import verify_theorem
-from mediant.matrices import IDENTITY, Mat2, from_path, generators
+from mediant.matrices import IDENTITY, Mat2, _mobius_core, from_path, generators
 from mediant.rational import ExtendedRational
 from mediant.topograph import (
     OrientedVertex,
+    _conjugate_core,
     _frame,
+    _label_core,
+    _vertex_core,
     Vertex,
     conjugate_shadow,
     farey_label,
@@ -191,6 +194,20 @@ def test_conjugation_is_functorial():
         assert conjugate_shadow(vertex_matrix(frames[path + "R"])) == right * shadow
 
 
+def test_wrappers_are_their_cores():
+    # the sweep checks the cores; the public maps must be exactly the cores' output
+    flow = zip(walk("stern-brocot", 10), walk("matrix", 10))
+    for (path, bounds), (_, entries) in flow:
+        v = _frame(path, bounds)
+        m = vertex_matrix(v)
+        assert farey_label(v) == ExtendedRational(*_label_core(*bounds)) == v.forward
+        assert m == Mat2.frame(*_vertex_core(*bounds))
+        assert conjugate_shadow(m) == Mat2(*_conjugate_core(m.a, m.b, m.c, m.d))
+        for x in (er(1), er(0), er(1, 0), v.forward):
+            assert m(x) == ExtendedRational(*_mobius_core(m.a, m.b, m.c, m.d, x.num, x.den))
+            assert Mat2(*entries)(x) == ExtendedRational(*_mobius_core(*entries, x.num, x.den))
+
+
 def test_verify_depth_0():
     report = verify_topograph_proof(0)
     assert report.frames == 1
@@ -251,7 +268,9 @@ def test_report_serialization():
 
 def test_verify_reports_injected_fault(monkeypatch):
     # a wrong peak label is caught immediately, starting at the root
-    monkeypatch.setattr(mediant.topograph, "farey_label", lambda v: v.left)
+    monkeypatch.setattr(
+        mediant.topograph, "_label_core", lambda lo_num, lo_den, hi_num, hi_den: (lo_num, lo_den)
+    )
     report = verify_topograph_proof(3)
     assert not report.ok
     assert report.label_failures == 15
@@ -308,3 +327,32 @@ def test_verify_catches_corrupted_stern_brocot_rule(monkeypatch):
     assert not theorem.ok
     assert theorem.farey_failures == 2**5 - 2
     assert theorem.cw_failures == 0
+
+
+@pytest.mark.parametrize(
+    "core,corrupted,counter,count,first",
+    [
+        # no swap: the conjugate keeps the frame's determinant -1, outside the monoid
+        ("_conjugate_core", lambda a, b, c, d: (a, b, c, d), "conjugation", 15, ""),
+        # columns swapped: determinant +1, so no frame; its image of 1 is unchanged
+        ("_vertex_core", lambda ln, ld, hn, hd: (hn, ln, hd, ld), "conjugation", 15, ""),
+        # the d*q term dropped: right only where the right bound is 1/0
+        ("_mobius_core", lambda a, b, c, d, p, q: (a * p + b * q, c * p), "mobius", 11, "L"),
+        # 0/0 cross-multiplies equal to every value: it must still count as a failure
+        ("_mobius_core", lambda a, b, c, d, p, q: (0, 0), "mobius", 15, ""),
+    ],
+)
+def test_verify_counts_a_corrupted_core(monkeypatch, core, corrupted, counter, count, first):
+    monkeypatch.setattr(mediant.topograph, core, corrupted)
+    report = verify_topograph_proof(3).as_dict()
+    failures = {key: n for key, n in report.items() if key.endswith("_failures") and n}
+    assert failures == {f"{counter}_failures": count}
+    assert report["first_failure_path"] == first
+
+
+def test_verify_counts_a_zero_over_zero_label(monkeypatch):
+    # the label feeds the label, Moebius and frame checks; 0/0 matches none of them
+    monkeypatch.setattr(mediant.topograph, "_label_core", lambda *bounds: (0, 0))
+    report = verify_topograph_proof(3)
+    assert report.label_failures == report.mobius_failures == report.frame_failures == 15
+    assert report.conjugation_failures == 0

@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .rational import ExtendedRational, _farey, _int_digit_limit, _parse_int
 from .shadows import verify_theorem
 from .stern import _newman, fusc
-from .topograph import forward_tree, verify_topograph_proof
-from .trees import _TREE_RULES, _breadth_first, best_approximation, bfs_index, cw_locate
+from .topograph import verify_topograph_proof
+from .trees import _breadth_first, best_approximation, bfs_index, cw_locate
 from .trees import index_to_path, sb_locate
 
 __all__ = ["RenderConfig", "build_parser", "main", "parse_target", "render"]
@@ -60,23 +60,33 @@ class RenderConfig:
         _check_depth_cap(self.depth, self.max_depth_cap)
 
 
+# kind: the str() of the node value (ExtendedRational or Mat2) of a raw walk
+# state; walk states are canonical, so the raw ints print as the value does
+_LABELS = {
+    "cw": lambda a, b: f"{a}/{b}",
+    "sb": lambda lo_num, lo_den, hi_num, hi_den: f"{lo_num + hi_num}/{lo_den + hi_den}",
+    "matrix": lambda a, b, c, d: f"[[{a},{b}],[{c},{d}]]",
+}
+
+
 def _rows(config: RenderConfig) -> Iterator[tuple[str, str]]:
     """(path, text) per node, in BFS order: the json fields after "path" for
-    --format json, else the label.  Tree values are made from raw walk states
-    by the rule's value function, not TreeNodes."""
+    --format json, else the label.  Labels are formatted from the raw level
+    order states; no ExtendedRational, Mat2 or OrientedVertex is built."""
     as_json = config.format == "json"
     if config.kind == "topograph":
-        for frame in forward_tree(config.depth):
-            left, right, forward = frame.left, frame.right, frame.forward
-            yield frame.path, (
+        # a frame is a Stern-Brocot state: left and right bounds, forward their sum
+        for path, (lo_num, lo_den, hi_num, hi_den) in _breadth_first("stern-brocot", config.depth):
+            left, right = f"{lo_num}/{lo_den}", f"{hi_num}/{hi_den}"
+            forward = f"{lo_num + hi_num}/{lo_den + hi_den}"
+            yield path, (
                 f'"left": "{left}",\n    "right": "{right}",\n    "forward": "{forward}"'
                 if as_json else f"({left} {forward} {right})"
             )
     else:
-        kind = _TREE_KINDS[config.kind]
-        value_of = _TREE_RULES[kind][2]
-        for path, state in _breadth_first(kind, config.depth):
-            label = str(value_of(state))
+        label_of = _LABELS[config.kind]
+        for path, state in _breadth_first(_TREE_KINDS[config.kind], config.depth):
+            label = label_of(*state)
             yield path, f'"value": "{label}"' if as_json else label
 
 

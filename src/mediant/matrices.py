@@ -100,6 +100,12 @@ class Mat2:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"Mat2 is immutable: cannot delete {name!r}")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the checked constructors: their
+        # default restores slots with setattr, which this class refuses
+        build = Mat2 if self.det == 1 else Mat2.frame
+        return build, (self.a, self.b, self.c, self.d)
+
     @classmethod
     def frame(cls, a: int, b: int, c: int, d: int) -> "Mat2":
         """Relaxed constructor admitting determinant -1 (vertex frames)."""

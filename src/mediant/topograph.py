@@ -107,7 +107,8 @@ def forward_tree(depth: int) -> Iterator[OrientedVertex]:
     left label and advances across the edge {left, forward}; the right child
     keeps the right label.  That is the Stern-Brocot bounds descent, so the
     frames are trees.walk("stern-brocot") states, in breadth-first order by
-    iterative deepening.  Yields 2^(depth+1) - 1 frames for levels 0..depth.
+    the matrix tree's level-order successor (trees._breadth_first).  Yields
+    2^(depth+1) - 1 frames for levels 0..depth.
     """
     return (_frame(path, state) for path, state in _breadth_first("stern-brocot", depth))
 

@@ -276,16 +276,36 @@ def _walk(root, children, depth: int, prefix: Path) -> Iterator[tuple[Path, Any]
             stack.append((path + "L", left))
 
 
+# kind: the walk state of the matrix-tree node (a b; c d) at the same path
+_SHADOW_STATES = {
+    "calkin-wilf": lambda a, b, c, d: (a + b, c + d),
+    "stern-brocot": lambda a, b, c, d: (b, a, d, c),
+    "matrix": lambda a, b, c, d: (a, b, c, d),
+}
+
+
 def _breadth_first(kind: str, depth: int) -> Iterator[tuple[Path, Any]]:
-    """walk's pairs level by level, left to right, in O(depth) memory: by
-    iterative deepening, level k is the depth-k nodes of one walk to depth k."""
-    root, children = _start(kind, depth, "")
-    return (
-        (path, state)
-        for level in range(depth + 1)
-        for path, state in _walk(root, children, level, "")
-        if len(path) == level
-    )
+    """walk's (path, state) pairs level by level, left to right, levels
+    0..depth, in O(depth) memory.  Arguments are checked here, eagerly."""
+    _start(kind, depth, "")
+    return _level_order(_SHADOW_STATES[kind], depth)
+
+
+def _level_order(state_of, depth: int) -> Iterator[tuple[Path, Any]]:
+    # Newman's successor on the matrix tree: after a path P L R^k comes
+    # P R L^k, and M = (a b; c d) at the first becomes (c d; m*c - a, m*d - b)
+    # with m = 2k + 1 at the second.  Each level starts at L^level.
+    tails = ["R" + "L" * k for k in range(depth)]  # R L^k, which replaces L R^k
+    for level in range(depth + 1):
+        path = "L" * level
+        a, b, c, d = 1, 0, level, 1
+        yield path, state_of(a, b, c, d)
+        for n in range(1, 1 << level):
+            k = (n & -n).bit_length() - 1  # the R steps that end node n - 1
+            path = path[: level - k - 1] + tails[k]
+            m = 2 * k + 1
+            a, b, c, d = c, d, m * c - a, m * d - b
+            yield path, state_of(a, b, c, d)
 
 
 def level_iter(kind: str, depth: int) -> Iterator[TreeNode]:
@@ -293,8 +313,8 @@ def level_iter(kind: str, depth: int) -> Iterator[TreeNode]:
     exactly 2^(depth+1) - 1 nodes.
 
     `kind` is one of "calkin-wilf", "stern-brocot" or "matrix"; the matrix
-    tree yields Mat2 values.  The order comes from iterative deepening over
-    walk.
+    tree yields Mat2 values.  The order comes from Newman's level-order
+    successor, applied to the matrix tree and projected onto `kind`.
     """
     states = _breadth_first(kind, depth)
     value_of = _TREE_RULES[kind][2]

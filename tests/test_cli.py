@@ -14,8 +14,8 @@ import mediant.shadows
 from mediant.cli import RenderConfig, _printable, main, parse_target, render
 from mediant.rational import ExtendedRational, farey_sequence
 from mediant.stern import stern
-from mediant.topograph import forward_tree
-from mediant.trees import best_approximation, cw_value, level_iter
+from mediant.matrices import from_path
+from mediant.trees import best_approximation, cw_value, index_to_path, sb_node
 
 
 def run_cli(*argv):
@@ -297,16 +297,20 @@ def test_render_is_the_cli_output_without_its_newline(kind, fmt):
 
 
 def _public_nodes(kind, depth):
-    """(path, text label, json object) per node, read off level_iter or forward_tree."""
-    if kind == "topograph":
-        for frame in forward_tree(depth):
-            left, right, forward = str(frame.left), str(frame.right), str(frame.forward)
-            doc = {"path": frame.path, "left": left, "right": right, "forward": forward}
-            yield frame.path, f"({left} {forward} {right})", doc
-    else:
-        tree = {"cw": "calkin-wilf", "sb": "stern-brocot", "matrix": "matrix"}[kind]
-        for node in level_iter(tree, depth):
-            yield node.path, str(node.value), {"path": node.path, "value": str(node.value)}
+    """(path, text label, json object) per node in BFS order, from
+    index_to_path and the per-path lookups cw_value, sb_node and from_path:
+    each keeps its own per-step loop, apart from render's level order."""
+    for index in range(2 ** (depth + 1) - 1):
+        path = index_to_path(index)
+        if kind == "topograph":
+            node = sb_node(path)  # a frame's left, right and forward are these bounds
+            left, right, forward = str(node.lo), str(node.hi), str(node.value)
+            doc = {"path": path, "left": left, "right": right, "forward": forward}
+            yield path, f"({left} {forward} {right})", doc
+        else:
+            value = {"cw": cw_value, "sb": lambda p: sb_node(p).value, "matrix": from_path}[kind]
+            label = str(value(path))
+            yield path, label, {"path": path, "value": label}
 
 
 def _render_from_public_objects(kind, depth, fmt):
@@ -328,8 +332,8 @@ def _render_from_public_objects(kind, depth, fmt):
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
 @pytest.mark.parametrize("depth", range(9))
 def test_render_matches_the_public_objects(kind, fmt, depth):
-    # render formats raw walk states; the values must still be the public
-    # nodes' ExtendedRational and Mat2 text, in their order
+    # render formats raw level order states; the values must still be the
+    # ExtendedRational and Mat2 text of the per-path lookups, in BFS order
     expected = _render_from_public_objects(kind, depth, fmt)
     assert render(RenderConfig(kind=kind, depth=depth, format=fmt)) == expected
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 from itertools import product
 
@@ -226,6 +228,16 @@ def test_mat2_slots_cannot_be_written():
         del m.a
     assert str(m) == "[[2,1],[1,1]]"
     assert m.det == 1
+
+
+@pytest.mark.parametrize("m", [Mat2(1, 0, 0, 1), from_path("LRR"), Mat2.frame(0, 1, 1, 0),
+                               Mat2.frame(1, 2**70, 1, 2**70 - 1)])
+def test_mat2_copy_and_pickle_round_trip(m):
+    # the write guard refuses the default slot restore; members and
+    # determinant -1 frames both rebuild through their checked constructors
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(clone) is Mat2
+        assert clone == m and clone.det == m.det
 
 
 def test_mat2_hashable():

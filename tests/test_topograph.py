@@ -141,6 +141,15 @@ def test_forward_tree_is_walk_stably_sorted_by_level(prefix):
     assert [f for f in forward_tree(8) if f.path.startswith(prefix)] == expected
 
 
+def test_forward_tree_is_walk_stably_sorted_by_level_at_depth_12():
+    by_level = sorted(walk("stern-brocot", 12), key=lambda item: len(item[0]))
+    expected = [
+        OrientedVertex(er(ln, ld), er(hn, hd), er(ln + hn, ld + hd), path)
+        for path, (ln, ld, hn, hd) in by_level
+    ]
+    assert list(forward_tree(12)) == expected
+
+
 def test_forward_tree_validates_before_iteration():
     with pytest.raises(ValueError):
         forward_tree(-1)
@@ -310,8 +319,8 @@ def test_verify_counts_a_matrix_rule_that_leaves_the_monoid(monkeypatch):
 
 
 def test_verify_catches_corrupted_stern_brocot_rule(monkeypatch):
-    # forward_tree and level_iter("stern-brocot") share one engine and one
-    # rule; the matrix side must still catch a corrupted rule in both sweeps
+    # both sweeps walk the flow and the matrix tree with walk, one rule each;
+    # the matrix side must still catch a corrupted Stern-Brocot rule
     seed, children, value_of = mediant.trees._TREE_RULES["stern-brocot"]
     monkeypatch.setitem(
         mediant.trees._TREE_RULES,

@@ -440,3 +440,29 @@ def test_level_iter_is_walk_stably_sorted_by_level(kind, prefix):
     expected = [(path, _node_value(kind, state)) for path, state in by_level]
     got = [(node.path, node.value) for node in level_iter(kind, 8)]
     assert [item for item in got if item[0].startswith(prefix)] == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_level_iter_is_walk_stably_sorted_by_level_at_depth_12(kind):
+    # the level-order successor rewrites runs of up to 11 trailing R steps here
+    by_level = sorted(walk(kind, 12), key=lambda item: len(item[0]))
+    expected = [(path, _node_value(kind, state)) for path, state in by_level]
+    assert [(node.path, node.value) for node in level_iter(kind, 12)] == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_level_runs_from_all_left_steps_to_all_right_steps(kind):
+    # every level starts at L^level = (1 0; level 1) and ends at R^level
+    nodes = list(level_iter(kind, 12))
+    for level in range(13):
+        first, last = nodes[2**level - 1], nodes[2 ** (level + 1) - 2]
+        assert (first.path, last.path) == ("L" * level, "R" * level)
+        for node, matrix in ((first, Mat2(1, 0, level, 1)), (last, Mat2(1, level, 0, 1))):
+            m = from_path(node.path)
+            assert m == matrix
+            # the values are the matrix's transpose and Farey shadows
+            assert node.value == {
+                "calkin-wilf": ExtendedRational(m.a + m.b, m.c + m.d),
+                "stern-brocot": ExtendedRational(m.b + m.d, m.a + m.c),
+                "matrix": m,
+            }[kind]

@@ -7,91 +7,20 @@ forward flow.  Everything is big-integer exact; the two verify functions
 machine-check the correspondences exhaustively to a chosen depth.
 """
 
-from .matrices import IDENTITY, Mat2, Path, decompose, from_path, generators
-from .rational import ExtendedRational, compare, farey_sequence, is_z_distinct, mediant
-from .shadows import (
-    TheoremReport,
-    cw_shadow,
-    cw_shadow_mobius,
-    farey_shadow,
-    farey_shadow_mobius,
-    verify_theorem,
-)
-from .stern import SternTable, fusc, hyperbinary_count_oracle, stern
-from .topograph import (
-    OrientedVertex,
-    TopographReport,
-    Vertex,
-    conjugate_shadow,
-    farey_label,
-    forward_tree,
-    neighbors,
-    triples_containing,
-    verify_topograph_proof,
-    vertex_matrix,
-)
-from .trees import (
-    SBNode,
-    TreeNode,
-    best_approximation,
-    bfs_index,
-    cw_locate,
-    cw_unrank,
-    cw_value,
-    index_to_path,
-    level_iter,
-    sb_locate,
-    sb_node,
-    sb_row,
-    walk,
-)
+from . import matrices, rational, shadows, stern, topograph, trees
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExtendedRational",
-    "IDENTITY",
-    "Mat2",
-    "OrientedVertex",
-    "Path",
-    "SBNode",
-    "SternTable",
-    "TheoremReport",
-    "TopographReport",
-    "TreeNode",
-    "Vertex",
-    "best_approximation",
-    "bfs_index",
-    "compare",
-    "conjugate_shadow",
-    "cw_locate",
-    "cw_shadow",
-    "cw_shadow_mobius",
-    "cw_unrank",
-    "cw_value",
-    "decompose",
-    "farey_label",
-    "farey_sequence",
-    "farey_shadow",
-    "farey_shadow_mobius",
-    "forward_tree",
-    "from_path",
-    "fusc",
-    "generators",
-    "hyperbinary_count_oracle",
-    "index_to_path",
-    "is_z_distinct",
-    "level_iter",
-    "mediant",
-    "neighbors",
-    "sb_locate",
-    "sb_node",
-    "sb_row",
-    "stern",
-    "triples_containing",
-    "verify_theorem",
-    "verify_topograph_proof",
-    "vertex_matrix",
-    "walk",
-    "__version__",
-]
+# Built before the star imports below: the one from .stern rebinds the name
+# stern from the module to the function.
+__all__ = sorted(
+    {name for module in (matrices, rational, shadows, stern, topograph, trees)
+     for name in module.__all__}
+) + ["__version__"]
+
+from .matrices import *  # noqa: E402,F401,F403
+from .rational import *  # noqa: E402,F401,F403
+from .shadows import *  # noqa: E402,F401,F403
+from .stern import *  # noqa: E402,F401,F403
+from .topograph import *  # noqa: E402,F401,F403
+from .trees import *  # noqa: E402,F401,F403

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .rational import ExtendedRational
+from .rational import ExtendedRational, _Frozen, _slot_setters
 
 __all__ = [
     "IDENTITY",
@@ -74,7 +74,7 @@ def _check_entries(a: int, b: int, c: int, d: int) -> None:
         raise ValueError("matrix entries must be non-negative")
 
 
-class Mat2:
+class Mat2(_Frozen):
     """2x2 matrix (a b; c d) of non-negative integers with determinant 1.
 
     The plain constructor admits monoid members only.  Topograph vertex
@@ -94,15 +94,8 @@ class Mat2:
         _set_c(self, c)
         _set_d(self, d)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Mat2 is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Mat2 is immutable: cannot delete {name!r}")
-
     def __reduce__(self):
-        # copy and pickle rebuild through the checked constructors: their
-        # default restores slots with setattr, which this class refuses
+        # a determinant -1 frame rebuilds through Mat2.frame, not the member constructor
         build = Mat2 if self.det == 1 else Mat2.frame
         return build, (self.a, self.b, self.c, self.d)
 
@@ -152,9 +145,7 @@ class Mat2:
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-# The slot descriptors' own setters: construction writes through these,
-# since Mat2.__setattr__ refuses every write.
-_set_a, _set_b, _set_c, _set_d = (getattr(Mat2, slot).__set__ for slot in Mat2.__slots__)
+_set_a, _set_b, _set_c, _set_d = _slot_setters(Mat2)
 
 
 def _mobius_core(a: int, b: int, c: int, d: int, p: int, q: int) -> tuple[int, int]:

@@ -19,8 +19,34 @@ __all__ = [
 _FRACTION_RE = re.compile(r"(-?\d+)/(\d+)\Z")
 
 
+class _Frozen:
+    """Slotted base of the immutable value classes: every attribute write raises.
+
+    Constructors write their slots through _slot_setters.  copy and pickle
+    rebuild through the constructor, since their default restores slots with
+    setattr, which this class refuses.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, slot) for slot in self.__slots__)
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The setters of cls's slot descriptors, in __slots__ order: they write
+    past the refusing __setattr__."""
+    return tuple(getattr(cls, slot).__set__ for slot in cls.__slots__)
+
+
 @functools.total_ordering
-class ExtendedRational:
+class ExtendedRational(_Frozen):
     """A fraction num/den in lowest terms, including 0/1 and infinity = 1/0.
 
     Every value is canonical: gcd(|num|, den) = 1, the sign lives on the
@@ -53,17 +79,6 @@ class ExtendedRational:
             den //= g
         _set_num(self, num)
         _set_den(self, den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"ExtendedRational is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"ExtendedRational is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor: their default
-        # restores slots with setattr, which this class refuses
-        return ExtendedRational, (self.num, self.den)
 
     @classmethod
     def parse(cls, text: str) -> "ExtendedRational":
@@ -99,11 +114,7 @@ class ExtendedRational:
         return f"ExtendedRational({self.num}, {self.den})"
 
 
-# The slot descriptors' own setters: construction writes through these,
-# since ExtendedRational.__setattr__ refuses every write.
-_set_num, _set_den = (
-    getattr(ExtendedRational, slot).__set__ for slot in ExtendedRational.__slots__
-)
+_set_num, _set_den = _slot_setters(ExtendedRational)
 
 
 def _int_digit_limit() -> int:

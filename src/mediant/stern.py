@@ -55,7 +55,7 @@ class SternTable:
     """Stateless: value(n) is stern(n).
 
     It exists only because perfbench/layers.py reads it by name; ROADMAP
-    item 4 (benchmark v2) retires it.
+    item 1 (benchmark v2) retires it.
     """
 
     def value(self, n: int) -> int:

@@ -113,21 +113,15 @@ def forward_tree(depth: int) -> Iterator[OrientedVertex]:
     return (_frame(path, state) for path, state in _breadth_first("stern-brocot", depth))
 
 
-# Slot setters: _frame writes past the frozen __setattr__ with them, as matrices._trusted does.
-_set_left, _set_right, _set_forward, _set_path = (
-    getattr(OrientedVertex, slot).__set__ for slot in OrientedVertex.__slots__
-)
-
-
 def _frame(path: Path, state: tuple[int, int, int, int]) -> OrientedVertex:
     """The frame of a Stern-Brocot walk state: its bounds and their raw sum."""
     lo_num, lo_den, hi_num, hi_den = state
-    v = object.__new__(OrientedVertex)
-    _set_left(v, ExtendedRational(lo_num, lo_den))
-    _set_right(v, ExtendedRational(hi_num, hi_den))
-    _set_forward(v, ExtendedRational(lo_num + hi_num, lo_den + hi_den))
-    _set_path(v, path)
-    return v
+    return OrientedVertex(
+        ExtendedRational(lo_num, lo_den),
+        ExtendedRational(hi_num, hi_den),
+        ExtendedRational(lo_num + hi_num, lo_den + hi_den),
+        path,
+    )
 
 
 # The raw-int cores under farey_label, vertex_matrix and conjugate_shadow; a

@@ -228,6 +228,15 @@ def test_mat2_slots_cannot_be_written():
         del m.a
     assert str(m) == "[[2,1],[1,1]]"
     assert m.det == 1
+    frame = Mat2.frame(0, 1, 1, 0)
+    message = "^Mat2 is immutable: cannot {} '{}'$"
+    for x in (m, frame):
+        for name in ("a", "d", "other"):
+            with pytest.raises(AttributeError, match=message.format("set", name)):
+                setattr(x, name, 7)
+            with pytest.raises(AttributeError, match=message.format("delete", name)):
+                delattr(x, name)
+    assert str(frame) == "[[0,1],[1,0]]" and frame.det == -1
 
 
 @pytest.mark.parametrize("m", [Mat2(1, 0, 0, 1), from_path("LRR"), Mat2.frame(0, 1, 1, 0),

@@ -119,11 +119,11 @@ def test_hashable():
 
 def test_slots_cannot_be_written():
     q = er(1, 2)
+    message = "^ExtendedRational is immutable: cannot {} '{}'$"
     for name in ("num", "den", "other"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=message.format("set", name)):
             setattr(q, name, 7)
-    for name in ("num", "den"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=message.format("delete", name)):
             delattr(q, name)
     assert (q.num, q.den) == (1, 2) and str(q) == "1/2"
 

@@ -26,7 +26,13 @@ from .trees import index_to_path, sb_locate
 
 __all__ = ["RenderConfig", "build_parser", "main", "parse_target", "render"]
 
-_TREE_KINDS = {"cw": "calkin-wilf", "sb": "stern-brocot", "matrix": "matrix"}
+# CLI kind: (tree kind, the str() of the node value of a raw walk state).  Walk
+# states are canonical, so the raw ints print as the ExtendedRational or Mat2 does.
+_TREE_KINDS = {
+    "cw": ("calkin-wilf", lambda a, b: f"{a}/{b}"),
+    "sb": ("stern-brocot", lambda ln, ld, hn, hd: f"{ln + hn}/{ld + hd}"),  # bounds' sum
+    "matrix": ("matrix", lambda a, b, c, d: f"[[{a},{b}],[{c},{d}]]"),
+}
 _FORMATS = ("text", "json", "dot")
 
 # 2^21 - 1 nodes.  Output streams in O(depth) memory, so this bounds run time,
@@ -51,22 +57,13 @@ class RenderConfig:
     max_depth_cap: int = DEFAULT_DEPTH_CAP
 
     def __post_init__(self):
-        if self.kind not in ("cw", "sb", "matrix", "topograph"):
+        if self.kind not in _TREE_KINDS and self.kind != "topograph":
             raise ValueError(f"unknown kind: {self.kind!r}")
         if self.format not in _FORMATS:
             raise ValueError(f"unknown format: {self.format!r}")
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
         _check_depth_cap(self.depth, self.max_depth_cap)
-
-
-# kind: the str() of the node value (ExtendedRational or Mat2) of a raw walk
-# state; walk states are canonical, so the raw ints print as the value does
-_LABELS = {
-    "cw": lambda a, b: f"{a}/{b}",
-    "sb": lambda lo_num, lo_den, hi_num, hi_den: f"{lo_num + hi_num}/{lo_den + hi_den}",
-    "matrix": lambda a, b, c, d: f"[[{a},{b}],[{c},{d}]]",
-}
 
 
 def _rows(config: RenderConfig) -> Iterator[tuple[str, str]]:
@@ -84,8 +81,8 @@ def _rows(config: RenderConfig) -> Iterator[tuple[str, str]]:
                 if as_json else f"({left} {forward} {right})"
             )
     else:
-        label_of = _LABELS[config.kind]
-        for path, state in _breadth_first(_TREE_KINDS[config.kind], config.depth):
+        tree_kind, label_of = _TREE_KINDS[config.kind]
+        for path, state in _breadth_first(tree_kind, config.depth):
             label = label_of(*state)
             yield path, f'"value": "{label}"' if as_json else label
 

@@ -9,9 +9,10 @@ runs of equal steps, and ``decompose`` and the tree locators read words off it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
-from .rational import ExtendedRational, _Frozen, _slot_setters
+from .rational import ExtendedRational, _slot_setters
 
 __all__ = [
     "IDENTITY",
@@ -74,16 +75,21 @@ def _check_entries(a: int, b: int, c: int, d: int) -> None:
         raise ValueError("matrix entries must be non-negative")
 
 
-class Mat2(_Frozen):
+@dataclass(frozen=True, init=False, repr=False)
+class Mat2:
     """2x2 matrix (a b; c d) of non-negative integers with determinant 1.
 
     The plain constructor admits monoid members only.  Topograph vertex
     frames have determinant -1 and are built with :meth:`frame`; the ``det``
-    property tells the two kinds apart.  Instances are immutable after
-    construction.
+    property tells the two kinds apart.  Instances are frozen dataclasses: a
+    write raises dataclasses.FrozenInstanceError.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("a", "b", "c", "d")  # by hand, not slots=True: see ExtendedRational
+    a: int
+    b: int
+    c: int
+    d: int
 
     def __init__(self, a: int, b: int, c: int, d: int):
         _check_entries(a, b, c, d)
@@ -129,14 +135,6 @@ class Mat2(_Frozen):
     def __call__(self, x: ExtendedRational) -> ExtendedRational:
         """Moebius action p/q -> (a*p + b*q)/(c*p + d*q): 1/0 -> a/c, 0/1 -> b/d."""
         return ExtendedRational(*_mobius_core(self.a, self.b, self.c, self.d, x.num, x.den))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"

@@ -6,6 +6,7 @@ import functools
 import math
 import re
 import sys
+from dataclasses import dataclass
 from typing import Iterator
 
 __all__ = [
@@ -19,46 +20,32 @@ __all__ = [
 _FRACTION_RE = re.compile(r"(-?\d+)/(\d+)\Z")
 
 
-class _Frozen:
-    """Slotted base of the immutable value classes: every attribute write raises.
-
-    Constructors write their slots through _slot_setters.  copy and pickle
-    rebuild through the constructor, since their default restores slots with
-    setattr, which this class refuses.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, slot) for slot in self.__slots__)
-
-
 def _slot_setters(cls: type) -> tuple:
-    """The setters of cls's slot descriptors, in __slots__ order: they write
-    past the refusing __setattr__."""
+    """The setters of cls's slot descriptors, in __slots__ order: constructors
+    write through them, past the frozen dataclass __setattr__."""
     return tuple(getattr(cls, slot).__set__ for slot in cls.__slots__)
 
 
 @functools.total_ordering
-class ExtendedRational(_Frozen):
+@dataclass(frozen=True, init=False, repr=False)
+class ExtendedRational:
     """A fraction num/den in lowest terms, including 0/1 and infinity = 1/0.
 
     Every value is canonical: gcd(|num|, den) = 1, the sign lives on the
     numerator, den >= 0, zero is 0/1, and infinity is 1/0 (a -1/0 input
     collapses to 1/0).  num and den are never both zero.  Instances are
-    immutable after construction and safe to share between threads.
+    frozen dataclasses (a write raises dataclasses.FrozenInstanceError) and
+    safe to share between threads.
 
     Ordering is by cross-multiplication, never floating point; infinity
     compares greater than every finite value and equal to itself.
     """
 
+    # Slots declared by hand: slots=True rebuilds the class, and the generated
+    # __setattr__ then calls super() on the old class, which raises TypeError.
     __slots__ = ("num", "den")
+    num: int
+    den: int
 
     def __init__(self, num: int, den: int = 1):
         # exact type: rejects bool, and costs no more than isinstance
@@ -80,6 +67,11 @@ class ExtendedRational(_Frozen):
         _set_num(self, num)
         _set_den(self, den)
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: their default slot
+        # restore writes through the refusing __setattr__
+        return ExtendedRational, (self.num, self.den)
+
     @classmethod
     def parse(cls, text: str) -> "ExtendedRational":
         """Parse the canonical "num/den" text form (slash required)."""
@@ -94,18 +86,10 @@ class ExtendedRational(_Frozen):
     def _cross(self, other: "ExtendedRational") -> int:
         return self.num * other.den - other.num * self.den
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExtendedRational):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
     def __lt__(self, other: "ExtendedRational"):
         if not isinstance(other, ExtendedRational):
             return NotImplemented
         return self._cross(other) < 0
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"

@@ -60,7 +60,7 @@ class Vertex:
         return "{%s}" % ", ".join(str(e) for e in self.elements)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class OrientedVertex:
     """A forward-flow frame: region labels left, right, forward at a path.
 

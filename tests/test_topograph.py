@@ -365,3 +365,39 @@ def test_verify_counts_a_zero_over_zero_label(monkeypatch):
     report = verify_topograph_proof(3)
     assert report.label_failures == report.mobius_failures == report.frame_failures == 15
     assert report.conjugation_failures == 0
+
+
+def _scaled(core, k):
+    return lambda *state: tuple(k * x for x in core(*state))
+
+
+@pytest.mark.parametrize(
+    "cores,roots,failures",
+    [
+        # determinant -4: no frame, so the Moebius check fails though 2/2 equals 1/1
+        ({"_vertex_core": _scaled(_vertex_core, 2)}, {}, {"conjugation": 15, "mobius": 15}),
+        # a doubled matrix tree matches a doubled conjugate, whose determinant is 4
+        ({"_conjugate_core": _scaled(_conjugate_core, 2)}, {"matrix": (2, 0, 0, 2)},
+         {"conjugation": 15}),
+        # a negated matrix tree matches a negated conjugate of determinant 1
+        ({"_conjugate_core": _scaled(_conjugate_core, -1)}, {"matrix": (-1, 0, 0, -1)},
+         {"conjugation": 15}),
+        # bounds 1/0 and 0/1 swapped: every frame has determinant +1
+        ({}, {"stern-brocot": (1, 0, 0, 1)},
+         {"conjugation": 15, "label": 14, "frame": 15}),
+        # forward 2(lo + hi) equals the mediant but is Z-distinct from neither bound.
+        # Dropping one Z-distinct half leaves no fault to find: with the mediant and
+        # determinant -1 checks holding, forward is t(lo + hi) and both halves equal |t|.
+        ({"_label_core": _scaled(_label_core, 2)}, {}, {"frame": 15}),
+    ],
+)
+def test_verify_counts_each_per_frame_clause(monkeypatch, cores, roots, failures):
+    for core, corrupted in cores.items():
+        monkeypatch.setattr(mediant.topograph, core, corrupted)
+    rules = mediant.trees._TREE_RULES
+    for kind, root in roots.items():
+        monkeypatch.setitem(rules, kind, (root, *rules[kind][1:]))
+    report = verify_topograph_proof(3).as_dict()
+    counted = {key: n for key, n in report.items() if key.endswith("_failures") and n}
+    assert counted == {f"{check}_failures": n for check, n in failures.items()}
+    assert report["first_failure_path"] == ""

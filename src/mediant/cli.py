@@ -26,12 +26,25 @@ from .trees import index_to_path, sb_locate
 
 __all__ = ["RenderConfig", "build_parser", "main", "parse_target", "render"]
 
-# CLI kind: (tree kind, the str() of the node value of a raw walk state).  Walk
-# states are canonical, so the raw ints print as the ExtendedRational or Mat2 does.
+# Render kind: (tree kind, text label of a raw level order state, its json fields
+# after "path").  States are canonical, so a tree label prints as its value's str().
+def _valued(tree_kind, label_of):  # a tree node's json fields: "value": its label
+    return tree_kind, label_of, lambda *state: f'"value": "{label_of(*state)}"'
+
+
 _TREE_KINDS = {
-    "cw": ("calkin-wilf", lambda a, b: f"{a}/{b}"),
-    "sb": ("stern-brocot", lambda ln, ld, hn, hd: f"{ln + hn}/{ld + hd}"),  # bounds' sum
-    "matrix": ("matrix", lambda a, b, c, d: f"[[{a},{b}],[{c},{d}]]"),
+    "cw": _valued("calkin-wilf", lambda a, b: f"{a}/{b}"),
+    "sb": _valued("stern-brocot", lambda ln, ld, hn, hd: f"{ln + hn}/{ld + hd}"),  # bounds' sum
+    "matrix": _valued("matrix", lambda a, b, c, d: f"[[{a},{b}],[{c},{d}]]"),
+}
+_RENDER_KINDS = {
+    **_TREE_KINDS,
+    "topograph": (  # a Stern-Brocot state: left and right bounds, forward their sum
+        "stern-brocot",
+        lambda ln, ld, hn, hd: f"({ln}/{ld} {ln + hn}/{ld + hd} {hn}/{hd})",
+        lambda ln, ld, hn, hd: f'"left": "{ln}/{ld}",\n    "right": "{hn}/{hd}",\n    '
+        f'"forward": "{ln + hn}/{ld + hd}"',
+    ),
 }
 _FORMATS = ("text", "json", "dot")
 
@@ -57,7 +70,7 @@ class RenderConfig:
     max_depth_cap: int = DEFAULT_DEPTH_CAP
 
     def __post_init__(self):
-        if self.kind not in _TREE_KINDS and self.kind != "topograph":
+        if self.kind not in _RENDER_KINDS:
             raise ValueError(f"unknown kind: {self.kind!r}")
         if self.format not in _FORMATS:
             raise ValueError(f"unknown format: {self.format!r}")
@@ -66,47 +79,29 @@ class RenderConfig:
         _check_depth_cap(self.depth, self.max_depth_cap)
 
 
-def _rows(config: RenderConfig) -> Iterator[tuple[str, str]]:
-    """(path, text) per node, in BFS order: the json fields after "path" for
-    --format json, else the label.  Labels are formatted from the raw level
-    order states; no ExtendedRational, Mat2 or OrientedVertex is built."""
-    as_json = config.format == "json"
-    if config.kind == "topograph":
-        # a frame is a Stern-Brocot state: left and right bounds, forward their sum
-        for path, (lo_num, lo_den, hi_num, hi_den) in _breadth_first("stern-brocot", config.depth):
-            left, right = f"{lo_num}/{lo_den}", f"{hi_num}/{hi_den}"
-            forward = f"{lo_num + hi_num}/{lo_den + hi_den}"
-            yield path, (
-                f'"left": "{left}",\n    "right": "{right}",\n    "forward": "{forward}"'
-                if as_json else f"({left} {forward} {right})"
-            )
-    else:
-        tree_kind, label_of = _TREE_KINDS[config.kind]
-        for path, state in _breadth_first(tree_kind, config.depth):
-            label = label_of(*state)
-            yield path, f'"value": "{label}"' if as_json else label
-
-
 def _render_pieces(config: RenderConfig) -> Iterator[str]:
-    """render(config) in pieces, made one node at a time in O(depth) memory."""
-    rows = _rows(config)
+    """render(config) in pieces, one node at a time in O(depth) memory, each
+    formatted from a raw level order state; a topograph frame is a Stern-Brocot
+    state.  No ExtendedRational, Mat2 or OrientedVertex is built."""
+    tree_kind, label_of, fields_of = _RENDER_KINDS[config.kind]
+    states = _breadth_first(tree_kind, config.depth)
     if config.format == "text":
-        for path, label in rows:
+        for path, state in states:
             # a path with no R step is the leftmost node of its level
-            yield ("" if not path else " " if "R" in path else "\n") + label
+            yield ("" if not path else " " if "R" in path else "\n") + label_of(*state)
     elif config.format == "json":
         # json.dumps(list_of_nodes, indent=2), laid out by hand.  No string needs
         # escaping: paths are words over "L"/"R", and values (here and in farey) are
         # written with digits, "/", "-", "[", "]" and ",", none of which JSON escapes.
         sep = "[\n"
-        for path, fields in rows:
-            yield f'{sep}  {{\n    "path": "{path}",\n    {fields}\n  }}'
+        for path, state in states:
+            yield f'{sep}  {{\n    "path": "{path}",\n    {fields_of(*state)}\n  }}'
             sep = ",\n"
         yield "\n]"
     else:
         yield f"digraph {config.kind} {{"
-        for path, label in rows:
-            yield f'\n  "{path or "root"}" [label="{label}"];'
+        for path, state in states:
+            yield f'\n  "{path or "root"}" [label="{label_of(*state)}"];'
         for index in range(1, 2 ** (config.depth + 1) - 1):  # every node but the root
             path = index_to_path(index)
             yield f'\n  "{path[:-1] or "root"}" -> "{path}";'
@@ -129,25 +124,20 @@ def _write(pieces: Iterable[str]) -> int:
     return 0
 
 
-_DECIMAL_RE = re.compile(r"(-?)(\d+)\.(\d+)\Z")
-_INT_RE = re.compile(r"-?\d+\Z")
+_NUMBER_RE = re.compile(r"(-?)(\d+)(?:\.(\d+))?\Z")
 
 
 def parse_target(text: str) -> ExtendedRational:
-    """Exact value of "p/q", integer, or decimal text.
-
-    Decimals become digits over a power of ten; floats are never involved, so
-    results are reproducible bit for bit.
-    """
+    """Exact value of "p/q", integer, or decimal text.  A decimal is its digits
+    over 10^(digits after the point), and an integer is one with none; floats
+    are never involved, so results are reproducible bit for bit."""
     text = text.strip()
-    decimal = _DECIMAL_RE.match(text)
-    if decimal:
-        sign, whole, frac = decimal.groups()
-        num = _parse_int(whole + frac)
-        return ExtendedRational(-num if sign else num, 10 ** len(frac))
-    if _INT_RE.match(text):
-        return ExtendedRational(_parse_int(text), 1)
-    return ExtendedRational.parse(text)
+    number = _NUMBER_RE.match(text)
+    if number is None:
+        return ExtendedRational.parse(text)
+    sign, whole, frac = number.groups("")
+    num = _parse_int(whole + frac)
+    return ExtendedRational(-num if sign else num, 10 ** len(frac))
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
@@ -192,14 +182,12 @@ def _cmd_fusc(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_depth_cap(args.depth, args.max_depth_cap)
-    theorem = verify_theorem(args.depth, jobs=args.jobs)
-    topograph = verify_topograph_proof(args.depth, jobs=args.jobs)
-    print(json.dumps({"theorem": theorem.as_dict(), "topograph": topograph.as_dict()}, indent=2))
-    failed = [
-        (name, report)
-        for name, report in (("theorem", theorem), ("topograph", topograph))
-        if not report.ok
-    ]
+    reports = {
+        "theorem": verify_theorem(args.depth, jobs=args.jobs),
+        "topograph": verify_topograph_proof(args.depth, jobs=args.jobs),
+    }
+    print(json.dumps({name: report.as_dict() for name, report in reports.items()}, indent=2))
+    failed = [(name, report) for name, report in reports.items() if not report.ok]
     for name, report in failed:
         print(
             f"{name} verification failed; first failure at path {report.first_failure_path!r}",

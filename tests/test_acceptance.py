@@ -56,7 +56,7 @@ def test_01_breadth_first_enumeration_literal():
         er(2, 3), er(3, 1), er(1, 4), er(4, 3), er(3, 5),
     ]
     with criterion(1, "first ten breadth-first rationals, < 1 ms"):
-        [cw_unrank(n) for n in range(10)]  # warm the memo table
+        [cw_unrank(n) for n in range(10)]  # warm up: the timed runs below pay no first-call costs
         best = math.inf
         for _ in range(3):
             start = time.perf_counter()

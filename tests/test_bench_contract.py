@@ -3,9 +3,13 @@
 perfbench/layers.py and perfbench/lookup_worker.py reach into the package
 by attribute name, some of them private or kept only for the benchmark.  A
 cleanup that drops one would only show when the benchmark runs with
---trace 1; these tests show it in the suite.
+--trace 1; these tests show it in the suite.  The render workload's own
+output check runs here too, on the tree commands it times.
 """
 
+import contextlib
+import importlib
+import io
 import random
 import re
 from pathlib import Path
@@ -85,3 +89,21 @@ def test_bench_calls_keep_their_shapes():
     assert sum(1 for _ in m.forward_tree(depth)) == len(nodes)
     out = m.cli.render(m.cli.RenderConfig(kind="topograph", depth=1, format="json"))
     assert '"forward": "1/1"' in out
+
+
+_RENDER_TREES = ("tree-cw-text", "tree-sb-json", "tree-matrix-dot", "topograph-json")
+
+
+def test_render_trees_pass_the_bench_checker(monkeypatch):
+    # the check that gates the render workload: depth 15 against reference.py,
+    # which shares no code with mediant
+    monkeypatch.syspath_prepend(str(BENCH))
+    inputs, checks = importlib.import_module("inputs"), importlib.import_module("checks")
+    commands = [(name, argv) for name, argv in inputs.render_commands(1) if name in _RENDER_TREES]
+    assert [name for name, _ in commands] == list(_RENDER_TREES)
+    checker = checks.RenderChecker(commands)
+    for name, argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert mediant.cli.main(argv) == 0
+        assert checker.check(name, out.getvalue()) is None

@@ -122,6 +122,11 @@ def test_locate_rejects_bad_values(value):
     assert err.startswith("error:")
 
 
+def test_locate_names_the_text_it_cannot_parse():
+    code, out, err = run_cli("locate", "--tree", "cw", "1/-2")
+    assert (code, out, err) == (2, "", "error: not a fraction: '1/-2'\n")
+
+
 def test_stern_sequence():
     code, out, _ = run_cli("stern", "--count", "6")
     assert code == 0
@@ -233,13 +238,21 @@ def test_topograph_json_root():
     ]
 
 
-def test_depth_cap():
+def test_depth_cap(monkeypatch):
+    code, _, _ = run_cli("tree", "--kind", "cw", "--depth", "4", "--max-depth-cap", "4")
+    assert code == 0
+
+    # a refusal starts no work: a missing cap check fails here at once, not
+    # after a sweep or walk of 2^26 nodes
+    def started(*args, **kwargs):
+        raise AssertionError("a refused depth started work")
+
+    for name in ("verify_theorem", "verify_topograph_proof", "_breadth_first"):
+        monkeypatch.setattr(f"mediant.cli.{name}", started)
     code, _, err = run_cli("tree", "--kind", "cw", "--depth", "21")
     assert code == 2 and "safety cap" in err
     code, _, err = run_cli("tree", "--kind", "cw", "--depth", "5", "--max-depth-cap", "4")
     assert code == 2
-    code, _, _ = run_cli("tree", "--kind", "cw", "--depth", "4", "--max-depth-cap", "4")
-    assert code == 0
     code, _, err = run_cli("verify", "--depth", "25")
     assert code == 2 and "safety cap" in err
 
@@ -259,7 +272,9 @@ def test_parse_target():
     assert parse_target("-0.25") == ExtendedRational(-1, 4)
     assert parse_target(" 7/3 ") == ExtendedRational(7, 3)
     assert parse_target("-2") == ExtendedRational(-2, 1)
-    for bad in (".5", "3.", "1e3", "nan"):
+    assert parse_target("007") == ExtendedRational(7, 1)
+    assert parse_target("-0") == ExtendedRational(0, 1)
+    for bad in (".5", "3.", "1e3", "nan", "+1", "1.2.3", "--1", "-"):
         with pytest.raises(ValueError):
             parse_target(bad)
 

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -83,6 +84,15 @@ def test_parse():
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
         ExtendedRational.parse(text)
+
+
+def test_parse_counts_digits_not_the_sign():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts digit strings of any length")
+    assert ExtendedRational.parse("-" + "9" * limit + "/1") == er(1 - 10**limit, 1)
+    with pytest.raises(ValueError, match=f"^number of {limit + 1} digits "):
+        ExtendedRational.parse("-" + "9" * (limit + 1) + "/1")
 
 
 def test_str_round_trip():

@@ -1,4 +1,4 @@
-"""The sweep driver and subtree sharding shared by the exhaustive verifiers."""
+"""The sweep driver, subtree sharding and span engine of the exhaustive verifiers."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import time
 from dataclasses import fields
 from itertools import product
 from typing import Any, Callable, Optional, TypeVar
+
+from .trees import walk
 
 T = TypeVar("T")
 R = TypeVar("R", bound="SweepReport")
@@ -75,7 +77,8 @@ def spans(depth: int, jobs: int) -> list[tuple[str, int]]:
 def run_spans(span_fn: Callable[[str, int], T], depth: int, jobs: int) -> list[T]:
     """Apply span_fn over the partition, fanning out to processes when jobs > 1.
 
-    span_fn must be a module-level function (the pool pickles it by name).
+    span_fn must be a picklable callable (a module-level function or a
+    functools.partial of one): the pool pickles it.
     jobs is capped at the CPU count before the split, so the span count
     follows the capped value, and the pool never outnumbers the spans.
     """
@@ -88,6 +91,26 @@ def run_spans(span_fn: Callable[[str, int], T], depth: int, jobs: int) -> list[T
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(parts))) as pool:
         return list(pool.map(span_fn, (p for p, _ in parts), (d for _, d in parts)))
+
+
+def tally(kinds: tuple[str, ...], check: Callable[[tuple], tuple], width: int,
+          prefix: str, depth: int) -> tuple:
+    """The span engine: walk the trees named by `kinds` depth first in lock
+    step over one subtree span, passing `check` one (path, state) pair per
+    kind at each node; it returns `width` ok flags.  Returns the span result
+    `sweep` folds: visits, one failure count per flag, the BFS-earliest
+    failing path or None."""
+    visits = 0
+    failures = [0] * width
+    first: Optional[str] = None
+    for nodes in zip(*[walk(kind, depth, prefix) for kind in kinds]):
+        visits += 1
+        oks = check(nodes)
+        if False in oks:
+            for i, ok in enumerate(oks):
+                failures[i] += not ok
+            first = earliest_failure([first, nodes[0][0]])
+    return (visits, *failures, first)
 
 
 def earliest_failure(paths: list[Optional[str]]) -> Optional[str]:

@@ -4,19 +4,19 @@ Each map exists in two deliberately separate forms: an entry formula and a
 Moebius-action form.  They agree algebraically, but both are kept so tests can
 cross-assert two independent transcriptions instead of one definition.  The
 entry formulas are raw-int cores (_cw_core, _farey_core) under thin
-ExtendedRational wrappers.  verify_theorem sweeps every path down to a depth
-and compares the cores' outputs against the trees built by the tree engine.
+ExtendedRational wrappers.  verify_theorem runs _checks, the cores against the
+tree engine's values, at every path to a depth on the span engine _sweep.tally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
-from ._sweep import SweepReport, earliest_failure, sweep
+from ._sweep import SweepReport, sweep, tally
 from .matrices import Mat2
 from .rational import ExtendedRational, _raw_equal
-from .trees import walk
 
 __all__ = [
     "TheoremReport",
@@ -70,27 +70,16 @@ class TheoremReport(SweepReport):
     elapsed_s: float
 
 
-def _check_span(prefix: str, depth: int) -> tuple[int, int, int, Optional[str]]:
-    """Compare both shadow cores against the tree values over one subtree span,
-    walking the three trees depth first in lock step.  Raw walk states go
-    straight to the cores (read from the module on every node: tests replace
-    them), so a corrupted rule is counted, not raised."""
-    nodes = cw_bad = farey_bad = 0
-    first: Optional[str] = None
-    frames = zip(
-        walk("matrix", depth, prefix),
-        walk("calkin-wilf", depth, prefix),
-        walk("stern-brocot", depth, prefix),
-    )
-    for (path, entries), (_, (num, den)), (_, (lo_num, lo_den, hi_num, hi_den)) in frames:
-        cw_ok = _raw_equal(*_cw_core(*entries), num, den)
-        farey_ok = _raw_equal(*_farey_core(*entries), lo_num + hi_num, lo_den + hi_den)
-        nodes += 1
-        cw_bad += not cw_ok
-        farey_bad += not farey_ok
-        if not (cw_ok and farey_ok):
-            first = earliest_failure([first, path])
-    return nodes, cw_bad, farey_bad, first
+def _checks(nodes) -> tuple[bool, bool]:
+    """Both shadow cores at one lock-step node, on raw walk states.  The
+    cores are read from the module on every node (tests replace them), so a
+    corrupted rule is counted, not raised."""
+    (_, entries), (_, (num, den)), (_, (lo_num, lo_den, hi_num, hi_den)) = nodes
+    return (_raw_equal(*_cw_core(*entries), num, den),
+            _raw_equal(*_farey_core(*entries), lo_num + hi_num, lo_den + hi_den))
+
+
+_check_span = partial(tally, ("matrix", "calkin-wilf", "stern-brocot"), _checks, 2)
 
 
 def verify_theorem(depth: int, jobs: int = 1) -> TheoremReport:

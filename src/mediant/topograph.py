@@ -13,15 +13,16 @@ raw-int cores under farey_label, vertex_matrix and conjugate_shadow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional
 
-from ._sweep import SweepReport, earliest_failure, sweep
+from ._sweep import SweepReport, sweep, tally
 # from_path and sb_node are not called here; they stay module attributes
 # because perfbench/layers.py times calls through mediant.topograph by name.
 from .matrices import Mat2, Path, _mobius_core, from_path
 from .rational import ExtendedRational, _raw_equal, is_z_distinct
 from .shadows import _farey_core
-from .trees import _breadth_first, sb_node, walk
+from .trees import _breadth_first, sb_node
 
 __all__ = [
     "OrientedVertex",
@@ -195,37 +196,24 @@ def _unimodular(a: int, b: int, c: int, d: int, dets: tuple[int, ...]) -> bool:
     return a >= 0 and b >= 0 and c >= 0 and d >= 0 and a * d - b * c in dets
 
 
-def _check_span(prefix: str, depth: int) -> tuple[int, int, int, int, int, Optional[str]]:
-    """Run the four per-frame checks over one subtree span.
+def _checks(nodes) -> tuple[bool, bool, bool, bool]:
+    """The four per-frame checks on the raw states of a flow frame and the
+    matrix-tree node at its path.  The cores are read from the module on every
+    frame (tests replace them), so a corrupted rule is counted, not raised.
+    The conjugation check admits what conjugate_shadow(vertex_matrix(v))
+    admits: a frame of determinant +-1 whose conjugate is a monoid member."""
+    (_, bounds), (_, node) = nodes
+    num, den = _label_core(*bounds)
+    a, b, c, d = _vertex_core(*bounds)
+    framed = _unimodular(a, b, c, d, (1, -1))
+    shadow = _conjugate_core(a, b, c, d)
+    return (framed and shadow == node and _unimodular(*shadow, (1,)),
+            _raw_equal(num, den, *_farey_core(*node)),
+            framed and _raw_equal(*_mobius_core(a, b, c, d, 1, 1), num, den),
+            _frame_ok(*bounds, num, den))
 
-    The flow and the matrix tree are walked depth first in lock step, so
-    each frame is compared with the matrix-tree node at the same path in
-    O(1) work and O(depth) memory.  Raw walk states go straight to the
-    cores (read from the module on every frame: tests replace them), so a
-    corrupted rule is counted, not raised.  The conjugation check admits
-    what the checked constructors behind conjugate_shadow(vertex_matrix(v))
-    admit: a frame of determinant +-1 whose conjugate is a monoid member.
-    """
-    frames = conj_bad = label_bad = mobius_bad = frame_bad = 0
-    first: Optional[str] = None
-    flow = zip(walk("stern-brocot", depth, prefix), walk("matrix", depth, prefix))
-    for (path, bounds), (_, node) in flow:
-        num, den = _label_core(*bounds)
-        a, b, c, d = _vertex_core(*bounds)
-        framed = _unimodular(a, b, c, d, (1, -1))
-        shadow = _conjugate_core(a, b, c, d)
-        conj_ok = framed and shadow == node and _unimodular(*shadow, (1,))
-        label_ok = _raw_equal(num, den, *_farey_core(*node))
-        mobius_ok = framed and _raw_equal(*_mobius_core(a, b, c, d, 1, 1), num, den)
-        frame_ok = _frame_ok(*bounds, num, den)
-        frames += 1
-        conj_bad += not conj_ok
-        label_bad += not label_ok
-        mobius_bad += not mobius_ok
-        frame_bad += not frame_ok
-        if not (conj_ok and label_ok and mobius_ok and frame_ok):
-            first = earliest_failure([first, path])
-    return frames, conj_bad, label_bad, mobius_bad, frame_bad, first
+
+_check_span = partial(tally, ("stern-brocot", "matrix"), _checks, 4)
 
 
 def verify_topograph_proof(depth: int, jobs: int = 1) -> TopographReport:

@@ -8,6 +8,7 @@ output check runs here too, on the tree commands it times.
 """
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import random
@@ -79,6 +80,17 @@ def test_bench_calls_keep_their_shapes():
     spans = m._sweep.spans(depth, 2)
     parts = [m.shadows._check_span(prefix, span_depth) for prefix, span_depth in spans]
     assert sum(part[0] for part in parts) == 2 ** (depth + 1) - 1
+    # the span tuple layers.py times: visits, one count per *_failures field
+    # of the report, then the first failing path or None
+    visits = 2 ** (depth - 1) - 1  # the subtree under "LR"
+    for module, report in ((m.shadows, m.TheoremReport), (m.topograph, m.TopographReport)):
+        counters = [f.name for f in dataclasses.fields(report) if f.name.endswith("_failures")]
+        assert module._check_span("LR", depth) == (visits, *[0] * len(counters), None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(m.shadows, "_cw_core", lambda *entries: (0, 0))
+        patch.setattr(m.topograph, "_label_core", lambda *bounds: (0, 0))
+        assert m.shadows._check_span("LR", depth) == (visits, visits, 0, "LR")
+        assert m.topograph._check_span("LR", depth) == (visits, 0, visits, visits, visits, "LR")
 
     nodes = list(m.level_iter("matrix", depth))
     assert nodes[-1].path == "R" * depth and nodes[-1].value == m.from_path("R" * depth)

@@ -1,6 +1,9 @@
 import concurrent.futures
 import os
+import pickle
 import tracemalloc
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -68,6 +71,27 @@ def test_run_spans_starts_no_more_workers_than_spans(monkeypatch, fake_pool):
     assert [pool.max_workers for pool in fake_pool] == [9]
     assert fake_pool[0].tasks == 9
     assert sum(parts) == 2**4 - 1
+
+
+@pytest.mark.parametrize("depth", range(10))
+def test_spans_partition_every_path(depth):
+    # calls spans directly, so no process starts
+    every = Counter("".join(word) for n in range(depth + 1) for word in product("LR", repeat=n))
+    for jobs in range(1, 18):
+        walked = Counter(
+            path
+            for prefix, span_depth in sweep.spans(depth, jobs)
+            for path, _ in walk("matrix", span_depth, prefix)
+        )
+        assert walked == every, (depth, jobs)
+
+
+@pytest.mark.parametrize("module,width", [(mediant.shadows, 2), (mediant.topograph, 4)])
+def test_span_functions_survive_pickling(module, width):
+    # run_spans hands the span function to a process pool, which pickles it
+    span = module._check_span
+    clone = pickle.loads(pickle.dumps(span))
+    assert clone("LR", 4) == span("LR", 4) == (2**3 - 1, *[0] * width, None)
 
 
 # Depth-first preorder meets "LLL" before "R"; breadth-first order puts "R" first.

@@ -8,7 +8,7 @@ from dataclasses import fields
 from itertools import product
 from typing import Any, Callable, Optional, TypeVar
 
-from .trees import walk
+from . import trees
 
 T = TypeVar("T")
 R = TypeVar("R", bound="SweepReport")
@@ -45,9 +45,9 @@ def sweep(
     """Run span_fn over every subtree span to `depth` and fold the results.
 
     span_fn returns its counters (visits, then failures) followed by the
-    earliest_failure of its failing paths (a minimum: spans walk depth first)
-    or None.  The counters are summed over the spans and passed to `report`
-    as (depth, *counters, earliest failing path, elapsed seconds).
+    earliest_failure of its failing paths, or None.  The counters are summed
+    over the spans and passed to `report` as (depth, *counters, earliest
+    failing path, elapsed seconds).
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -93,23 +93,26 @@ def run_spans(span_fn: Callable[[str, int], T], depth: int, jobs: int) -> list[T
         return list(pool.map(span_fn, (p for p, _ in parts), (d for _, d in parts)))
 
 
-def tally(kinds: tuple[str, ...], check: Callable[[tuple], tuple], width: int,
+def tally(kinds: tuple[str, ...], check: Callable[..., tuple], width: int,
           prefix: str, depth: int) -> tuple:
-    """The span engine: walk the trees named by `kinds` depth first in lock
-    step over one subtree span, passing `check` one (path, state) pair per
-    kind at each node; it returns `width` ok flags.  Returns the span result
-    `sweep` folds: visits, one failure count per flag, the BFS-earliest
-    failing path or None."""
-    visits = 0
-    failures = [0] * width
-    first: Optional[str] = None
-    for nodes in zip(*[walk(kind, depth, prefix) for kind in kinds]):
-        visits += 1
-        oks = check(nodes)
-        if False in oks:
-            for i, ok in enumerate(oks):
-                failures[i] += not ok
-            first = earliest_failure([first, nodes[0][0]])
+    """The span engine: map `check` (one state per kind in, `width` ok flags
+    out) over each row trees._rows grows of the trees named by `kinds` over
+    one subtree span.  Only a row with a failure is gone through node by node,
+    and only a failing node gets a path.  Returns what `sweep` folds: visits,
+    one failure count per flag, the BFS-earliest failing path or None."""
+    roots, rules = zip(*(trees._start(kind, depth, prefix) for kind in kinds))
+    passed = (True,) * width
+    visits, failures, first = 0, [0] * width, None
+    for path, rows in trees._rows(roots, rules, depth, prefix, trees._ROW):
+        oks = list(map(check, *rows))
+        visits += len(oks)
+        if oks.count(passed) == len(oks):
+            continue
+        for n, flags in enumerate(oks):
+            if False in flags:
+                for i, ok in enumerate(flags):
+                    failures[i] += not ok
+                first = earliest_failure([first, path + trees.index_to_path(len(oks) - 1 + n)])
     return (visits, *failures, first)
 
 

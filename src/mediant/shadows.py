@@ -5,7 +5,8 @@ Moebius-action form.  They agree algebraically, but both are kept so tests can
 cross-assert two independent transcriptions instead of one definition.  The
 entry formulas are raw-int cores (_cw_core, _farey_core) under thin
 ExtendedRational wrappers.  verify_theorem runs _checks, the cores against the
-tree engine's values, at every path to a depth on the span engine _sweep.tally.
+tree engine's values, at every path to a depth, a level at a time, on the span
+engine _sweep.tally.
 """
 
 from __future__ import annotations
@@ -70,13 +71,13 @@ class TheoremReport(SweepReport):
     elapsed_s: float
 
 
-def _checks(nodes) -> tuple[bool, bool]:
-    """Both shadow cores at one lock-step node, on raw walk states.  The
-    cores are read from the module on every node (tests replace them), so a
-    corrupted rule is counted, not raised."""
-    (_, entries), (_, (num, den)), (_, (lo_num, lo_den, hi_num, hi_den)) = nodes
-    return (_raw_equal(*_cw_core(*entries), num, den),
-            _raw_equal(*_farey_core(*entries), lo_num + hi_num, lo_den + hi_den))
+def _checks(entries, cw, sb) -> tuple[bool, bool]:
+    """Both shadow cores on the raw matrix, Calkin-Wilf and Stern-Brocot
+    states at one path.  The cores are read from the module on every node
+    (tests replace them), so a corrupted rule is counted, not raised."""
+    (a, b, c, d), (num, den), (lo_num, lo_den, hi_num, hi_den) = entries, cw, sb
+    return (_raw_equal(*_cw_core(a, b, c, d), num, den),
+            _raw_equal(*_farey_core(a, b, c, d), lo_num + hi_num, lo_den + hi_den))
 
 
 _check_span = partial(tally, ("matrix", "calkin-wilf", "stern-brocot"), _checks, 2)

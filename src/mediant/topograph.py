@@ -7,7 +7,8 @@ exactly two triples (its mediant and its difference), so directing the edge
 everywhere, and the forward flow unfolds into a binary tree of oriented
 frames.  Conjugating each frame's Moebius matrix reproduces the matrix tree,
 and verify_topograph_proof checks that correspondence exhaustively, on the
-raw-int cores under farey_label, vertex_matrix and conjugate_shadow.
+raw-int cores under farey_label, vertex_matrix and conjugate_shadow, mapped
+over the flow and the matrix tree a level at a time by _sweep.tally.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ._sweep import SweepReport, sweep, tally
 # from_path and sb_node are not called here; they stay module attributes
 # because perfbench/layers.py times calls through mediant.topograph by name.
 from .matrices import Mat2, Path, _mobius_core, from_path
-from .rational import ExtendedRational, _raw_equal, is_z_distinct
+from .rational import ExtendedRational, is_z_distinct
 from .shadows import _farey_core
 from .trees import _breadth_first, sb_node
 
@@ -180,37 +181,31 @@ class TopographReport(SweepReport):
     elapsed_s: float
 
 
-def _frame_ok(lo_num: int, lo_den: int, hi_num: int, hi_den: int, num: int, den: int) -> bool:
-    """The frame invariants on raw ints: bounds of determinant -1, forward
-    num/den their mediant, and Z-distinct from each bound."""
-    if lo_num * hi_den - lo_den * hi_num != -1:
-        return False
-    if not _raw_equal(num, den, lo_num + hi_num, lo_den + hi_den):
-        return False
-    return abs(lo_num * den - lo_den * num) == 1 and abs(num * hi_den - den * hi_num) == 1
-
-
-def _unimodular(a: int, b: int, c: int, d: int, dets: tuple[int, ...]) -> bool:
-    """Non-negative entries and a determinant in dets: what Mat2 admits with
-    dets (1,), and Mat2.frame with (1, -1)."""
-    return a >= 0 and b >= 0 and c >= 0 and d >= 0 and a * d - b * c in dets
-
-
-def _checks(nodes) -> tuple[bool, bool, bool, bool]:
-    """The four per-frame checks on the raw states of a flow frame and the
-    matrix-tree node at its path.  The cores are read from the module on every
-    frame (tests replace them), so a corrupted rule is counted, not raised.
-    The conjugation check admits what conjugate_shadow(vertex_matrix(v))
-    admits: a frame of determinant +-1 whose conjugate is a monoid member."""
-    (_, bounds), (_, node) = nodes
-    num, den = _label_core(*bounds)
-    a, b, c, d = _vertex_core(*bounds)
-    framed = _unimodular(a, b, c, d, (1, -1))
+def _checks(bounds, node) -> tuple[bool, bool, bool, bool]:
+    """The four per-frame flags on the raw states of a flow frame (its bounds)
+    and the matrix-tree node at its path: conjugation (the vertex matrix is a
+    frame, non-negative with determinant +-1, whose conjugate is the node, a
+    monoid member), label (the peak label is the node's Farey shadow), mobius
+    (the frame sends 1 to the label), frame (bounds of determinant -1, so no
+    0/0 mediant, which is the label, Z-distinct from each bound, so not 0/0).
+    Fractions compare by cross-multiplication, a raw 0/0 equal to nothing.
+    The cores are read from the module on every frame (tests replace them)."""
+    lo_num, lo_den, hi_num, hi_den = bounds
+    e, f, g, h = node
+    num, den = _label_core(lo_num, lo_den, hi_num, hi_den)
+    a, b, c, d = _vertex_core(lo_num, lo_den, hi_num, hi_den)
+    p, q = _farey_core(e, f, g, h)
+    x, y = _mobius_core(a, b, c, d, 1, 1)
     shadow = _conjugate_core(a, b, c, d)
-    return (framed and shadow == node and _unimodular(*shadow, (1,)),
-            _raw_equal(num, den, *_farey_core(*node)),
-            framed and _raw_equal(*_mobius_core(a, b, c, d, 1, 1), num, den),
-            _frame_ok(*bounds, num, den))
+    framed = a >= 0 and b >= 0 and c >= 0 and d >= 0 and a * d - b * c in (1, -1)
+    labelled = num != 0 or den != 0
+    return (framed and shadow == node
+            and e >= 0 and f >= 0 and g >= 0 and h >= 0 and e * h - f * g == 1,
+            num * q == den * p and labelled and (p != 0 or q != 0),
+            framed and x * den == y * num and (x != 0 or y != 0) and labelled,
+            lo_num * hi_den - lo_den * hi_num == -1
+            and num * (lo_den + hi_den) == den * (lo_num + hi_num)
+            and abs(lo_num * den - lo_den * num) == 1 and abs(num * hi_den - den * hi_num) == 1)
 
 
 _check_span = partial(tally, ("stern-brocot", "matrix"), _checks, 4)
@@ -223,10 +218,8 @@ def verify_topograph_proof(depth: int, jobs: int = 1) -> TopographReport:
     the same path; the peak label equals the Farey shadow (d+b)/(c+a) of the
     matrix-tree node; the vertex matrix sends 1 to the forward label; and the
     frame invariants (determinant -1, mediant structure, Z-distinctness)
-    hold.  The expected values come from the matrix tree, walked in lock
-    step with the flow, so they never depend on the flow being checked.
-    The checks call the raw-int cores of the label, vertex-matrix,
-    conjugation and Moebius maps on walk states and compare fractions by
-    cross-multiplication; no ExtendedRational or Mat2 is built per frame.
+    hold.  The expected values come from the matrix tree, grown level by
+    level beside the flow, so they never depend on the flow being checked.
+    _checks runs on raw tree states: no ExtendedRational or Mat2 per frame.
     """
     return sweep(TopographReport, _check_span, depth, jobs)

@@ -10,6 +10,7 @@ exactly once, which is what makes locate well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterator, Union
 
 from .matrices import MAX_LOCATE_STEPS, Mat2, Path, _runs, _spell, validate_path
@@ -256,24 +257,39 @@ def _start(kind: str, depth: int, prefix: Path):
 def walk(kind: str, depth: int, prefix: Path = "") -> Iterator[tuple[Path, Any]]:
     """Yield (path, state) depth first in preorder, levels |prefix|..depth.
 
-    The one traversal loop; it holds O(depth) states.  `kind` names an entry
-    of _TREE_RULES, read at call time, and a state is a raw int tuple: (a, b)
+    _rows at width 1, so it holds O(depth) states.  `kind` names an entry of
+    _TREE_RULES, read at call time, and a state is a raw int tuple: (a, b)
     for the Calkin-Wilf value a/b; the Stern-Brocot bounds (lo_num, lo_den,
     hi_num, hi_den), whose raw sum is the node value; the matrix (a, b, c, d).
     Arguments are checked here, before the first node is produced.
     """
-    return _walk(*_start(kind, depth, prefix), depth, prefix)
+    root, rule = _start(kind, depth, prefix)
+    return ((path, rows[0][0]) for path, rows in _rows((root,), (rule,), depth, prefix, 1))
 
 
-def _walk(root, children, depth: int, prefix: Path) -> Iterator[tuple[Path, Any]]:
-    stack = [(prefix, root)]
+_ROW = 128  # the most states the sweeps' _rows puts in one row of one tree
+
+
+def _rows(roots, rules, depth: int, prefix: Path, width: int) -> Iterator[tuple[Path, list]]:
+    """The one depth-first loop: yield (path, rows), rows[k] the states of
+    the tree grown from roots[k] by rules[k] at one level under `path`, left
+    to right, for levels |prefix|..depth; each level is one map of the rule
+    over the row above.  A row that would grow past `width` is split into
+    halves under path + "L" and path + "R", the R half stacked, so memory is
+    O(depth * width).  Node i of a row of 2^j states is at path + i's j bits,
+    L for 0."""
+    stack = [(prefix, len(prefix), [[root] for root in roots])]
     while stack:
-        path, state = stack.pop()
-        yield path, state
-        if len(path) < depth:
-            left, right = children(state)
-            stack.append((path + "R", right))
-            stack.append((path + "L", left))
+        path, level, rows = stack.pop()
+        yield path, rows
+        while level < depth:
+            level += 1
+            rows = [list(chain.from_iterable(map(rule, row))) for rule, row in zip(rules, rows)]
+            if len(rows[0]) > width:
+                half = len(rows[0]) // 2
+                stack.append((path + "R", level, [row[half:] for row in rows]))
+                path, rows = path + "L", [row[:half] for row in rows]
+            yield path, rows
 
 
 # kind: the walk state of the matrix-tree node (a b; c d) at the same path

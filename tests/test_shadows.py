@@ -1,12 +1,12 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mediant.shadows
 from mediant.matrices import IDENTITY, Mat2, from_path
-from mediant.rational import ExtendedRational
+from mediant.rational import ExtendedRational, _raw_equal
 from mediant.shadows import (
     _cw_core,
     _farey_core,
@@ -139,3 +139,18 @@ def test_verify_counts_a_zero_over_zero_core(monkeypatch, core, counter):
     report = verify_theorem(3).as_dict()
     assert report[f"{counter}_failures"] == 15
     assert report["first_failure_path"] == ""
+
+
+small = st.integers(min_value=-3, max_value=3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(small, small, small, small), st.tuples(small, small),
+       st.tuples(small, small, small, small))
+def test_checks_match_raw_equal_on_the_cores(entries, cw, sb):
+    # 0/0 values, negative entries and both determinant signs all occur here
+    lo_num, lo_den, hi_num, hi_den = sb
+    assert mediant.shadows._checks(entries, cw, sb) == (
+        _raw_equal(*_cw_core(*entries), *cw),
+        _raw_equal(*_farey_core(*entries), lo_num + hi_num, lo_den + hi_den),
+    )

@@ -10,6 +10,7 @@ import pytest
 import mediant._sweep as sweep
 import mediant.shadows
 import mediant.topograph
+import mediant.trees
 from mediant.matrices import from_path
 from mediant.shadows import verify_theorem
 from mediant.topograph import verify_topograph_proof
@@ -121,6 +122,27 @@ def test_first_failure_is_the_bfs_earliest_within_a_span(monkeypatch):
     topograph = verify_topograph_proof(5)
     assert topograph.label_failures == 2 and topograph.conjugation_failures == 0
     assert topograph.first_failure_path == "R"
+
+
+@pytest.mark.parametrize("row", [1, 2, mediant.trees._ROW])
+@pytest.mark.parametrize(
+    "paths,first",
+    [(FAILING, "R"), (("RRLLRRLLR", "LRRLLRRLR"), "LRRLLRRLR")],
+    ids=["preorder-differs", "in-split-rows"],
+)
+def test_tally_does_not_depend_on_the_row_width(monkeypatch, row, paths, first):
+    # width 1 is walk's preorder; at the default width depth 9 splits rows too
+    monkeypatch.setattr(mediant.trees, "_ROW", row)
+    _fail_at(monkeypatch, paths)
+    theorem = verify_theorem(9)
+    assert (theorem.nodes, theorem.cw_failures, theorem.farey_failures) == (2**10 - 1, 2, 0)
+    assert theorem.first_failure_path == first
+    topograph = verify_topograph_proof(9).as_dict()
+    counted = {key: n for key, n in topograph.items() if key.endswith("_failures") and n}
+    # the wrong label feeds the label, Moebius and frame checks
+    assert topograph["frames"] == 2**10 - 1
+    assert counted == {"label_failures": 2, "mobius_failures": 2, "frame_failures": 2}
+    assert topograph["first_failure_path"] == first
 
 
 def test_first_failure_is_the_bfs_earliest_across_spans(monkeypatch, fake_pool):

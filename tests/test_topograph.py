@@ -1,12 +1,15 @@
 import dataclasses
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mediant.topograph
 import mediant.trees
 from mediant.shadows import verify_theorem
 from mediant.matrices import IDENTITY, Mat2, _mobius_core, from_path, generators
-from mediant.rational import ExtendedRational
+from mediant.rational import ExtendedRational, _raw_equal
 from mediant.topograph import (
     OrientedVertex,
     _conjugate_core,
@@ -401,3 +404,61 @@ def test_verify_counts_each_per_frame_clause(monkeypatch, cores, roots, failures
     counted = {key: n for key, n in report.items() if key.endswith("_failures") and n}
     assert counted == {f"{check}_failures": n for check, n in failures.items()}
     assert report["first_failure_path"] == ""
+
+
+# The per-frame checks as they read before they were inlined into _checks:
+# the flags must not change on any input, 0/0 and negative entries included.
+def _unimodular(a, b, c, d, dets):
+    return a >= 0 and b >= 0 and c >= 0 and d >= 0 and a * d - b * c in dets
+
+
+def _frame_ok(lo_num, lo_den, hi_num, hi_den, num, den):
+    if lo_num * hi_den - lo_den * hi_num != -1:
+        return False
+    if not _raw_equal(num, den, lo_num + hi_num, lo_den + hi_den):
+        return False
+    return abs(lo_num * den - lo_den * num) == 1 and abs(num * hi_den - den * hi_num) == 1
+
+
+def _oracle_checks(bounds, node):
+    t = mediant.topograph
+    num, den = t._label_core(*bounds)
+    a, b, c, d = t._vertex_core(*bounds)
+    framed = _unimodular(a, b, c, d, (1, -1))
+    shadow = t._conjugate_core(a, b, c, d)
+    return (framed and shadow == node and _unimodular(*shadow, (1,)),
+            _raw_equal(num, den, *t._farey_core(*node)),
+            framed and _raw_equal(*t._mobius_core(a, b, c, d, 1, 1), num, den),
+            _frame_ok(*bounds, num, den))
+
+
+def test_checks_match_the_formulation_before_inlining_on_every_small_frame():
+    # every bounds tuple in -3..3, beside the node its frame conjugates to,
+    # that node negated, and the root
+    for bounds in product(range(-3, 4), repeat=4):
+        lo_num, lo_den, hi_num, hi_den = bounds
+        conjugate = (lo_den, lo_num, hi_den, hi_num)
+        for node in (conjugate, tuple(-x for x in conjugate), (1, 0, 0, 1)):
+            assert mediant.topograph._checks(bounds, node) == _oracle_checks(bounds, node)
+
+
+small = st.integers(min_value=-3, max_value=3)
+quads = st.tuples(small, small, small, small)
+# a core may be replaced by a constant, so labels and matrices that no
+# frame has (0/0, scaled, negative, either determinant sign) occur too
+core_outputs = st.fixed_dictionaries({}, optional={
+    "_label_core": st.tuples(small, small),
+    "_vertex_core": quads,
+    "_conjugate_core": quads,
+    "_farey_core": st.tuples(small, small),
+    "_mobius_core": st.tuples(small, small),
+})
+
+
+@settings(max_examples=1000, deadline=None)
+@given(quads, quads, core_outputs)
+def test_checks_match_the_formulation_before_inlining(bounds, node, outputs):
+    with pytest.MonkeyPatch.context() as patch:
+        for core, value in outputs.items():
+            patch.setattr(mediant.topograph, core, lambda *_, value=value: value)
+        assert mediant.topograph._checks(bounds, node) == _oracle_checks(bounds, node)

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,9 @@ from mediant.rational import ExtendedRational, is_z_distinct, mediant
 from mediant.stern import fusc
 from mediant.trees import (
     MAX_LOCATE_STEPS,
+    _ROW,
+    _rows,
+    _start,
     best_approximation,
     bfs_index,
     cw_locate,
@@ -401,6 +405,34 @@ KINDS = ["calkin-wilf", "stern-brocot", "matrix"]
 def test_walk_is_depth_first_preorder(kind):
     assert [path for path, _ in walk(kind, 2)] == ["", "L", "LL", "LR", "R", "RL", "RR"]
     assert [path for path, _ in walk(kind, 2, "R")] == ["R", "RL", "RR"]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, _ROW])
+@pytest.mark.parametrize("prefix", ["", "L", "RL"])
+def test_rows_partition_every_path_under_the_prefix(width, prefix):
+    # node i of a row of 2^j states sits at path + the j-step word of rank i
+    for depth in range(len(prefix), 10):
+        roots, rules = zip(*(_start(kind, depth, prefix) for kind in KINDS))
+        pairs = []
+        for path, rows in _rows(roots, rules, depth, prefix, width):
+            assert len(rows) == len(KINDS) and 1 <= len(rows[0]) <= width
+            steps = len(rows[0]).bit_length() - 1
+            assert [len(row) for row in rows] == [2**steps] * len(KINDS)
+            words = ["".join(word) for word in product("LR", repeat=steps)]
+            pairs += [(path + word, states) for word, states in zip(words, zip(*rows))]
+        every = [prefix + "".join(word)
+                 for n in range(depth - len(prefix) + 1) for word in product("LR", repeat=n)]
+        assert Counter(path for path, _ in pairs) == Counter(every), (width, depth)
+        walked = {kind: dict(walk(kind, depth, prefix)) for kind in KINDS}
+        for path, states in pairs:
+            assert states == tuple(walked[kind][path] for kind in KINDS), path
+        if width == 1:
+            # depth-first preorder with L first is the sorted order of the paths
+            assert [path for path, _ in pairs] == sorted(every)
+            for k, kind in enumerate(KINDS):
+                assert [(path, states[k]) for path, states in pairs] == list(
+                    walk(kind, depth, prefix)
+                )
 
 
 def _direct_state(kind, path):

@@ -44,19 +44,40 @@ class Mutant(NamedTuple):
 
 
 CATALOGUE = [
-    # the span engine and the sweep driver
+    # the row engine, the span engine and the sweep driver
+    Mutant(
+        "rows-halves-swapped",
+        "src/mediant/trees.py",
+        '[row[half:] for row in rows]))\n                path, rows = path + "L", [row[:half]',
+        '[row[:half] for row in rows]))\n                path, rows = path + "L", [row[half:]',
+        ("tests/test_trees.py::test_rows_partition_every_path_under_the_prefix",),
+    ),
     Mutant(
         "tally-first-found",
         "src/mediant/_sweep.py",
-        "first = earliest_failure([first, nodes[0][0]])",
-        "first = first or nodes[0][0]",
+        "first = earliest_failure([first, path + trees.index_to_path(len(oks) - 1 + n)])",
+        "first = first or path + trees.index_to_path(len(oks) - 1 + n)",
+        ("tests/test_sweep.py::test_tally_does_not_depend_on_the_row_width",),
+    ),
+    Mutant(
+        "tally-path-off-by-one",
+        "src/mediant/_sweep.py",
+        "trees.index_to_path(len(oks) - 1 + n)",
+        "trees.index_to_path(len(oks) + n)",
+        ("tests/test_sweep.py::test_first_failure_is_the_bfs_earliest_within_a_span",),
+    ),
+    Mutant(
+        "tally-fast-path-forgives-one",
+        "src/mediant/_sweep.py",
+        "if oks.count(passed) == len(oks):",
+        "if oks.count(passed) >= len(oks) - 1:",
         ("tests/test_sweep.py::test_first_failure_is_the_bfs_earliest_within_a_span",),
     ),
     Mutant(
         "tally-first-flag-only",
         "src/mediant/_sweep.py",
-        "if False in oks:",
-        "if oks[0] is False:",
+        "if False in flags:",
+        "if flags[0] is False:",
         ("tests/test_topograph.py::test_verify_counts_a_zero_over_zero_label",),
     ),
     Mutant(
@@ -108,18 +129,18 @@ CATALOGUE = [
         "abs(lo_num * den - lo_den * num) == 1",
         "abs(lo_num * den - lo_den * num) <= 1",
         (),
-        "equivalent: once the determinant is -1 and num/den is raw-equal to the"
-        " mediant, which is in lowest terms, lo_num * den - lo_den * num is -t for"
-        " a non-zero integer t, so <= 1 and == 1 agree",
+        "equivalent: once the determinant is -1 and num/den cross-multiplies equal"
+        " to the mediant, which is in lowest terms, num/den is t times it, and"
+        " both halves of the Z-distinct test read |t|; the unmutated half refuses"
+        " t = 0 (a 0/0 label), so <= 1 and == 1 agree",
     ),
     Mutant(
         "unimodular-without-d",
         "src/mediant/topograph.py",
         "c >= 0 and d >= 0 and",
         "c >= 0 and",
-        (),
-        "masked: the conjugation check also compares with the matrix-tree node,"
-        " whose entries are non-negative",
+        ("tests/test_topograph.py::"
+         "test_checks_match_the_formulation_before_inlining_on_every_small_frame",),
     ),
     # the CLI and the library around the sweeps
     Mutant(

@@ -138,13 +138,6 @@ def mediant(x: ExtendedRational, y: ExtendedRational) -> ExtendedRational:
     return ExtendedRational(x.num + y.num, x.den + y.den)
 
 
-def _raw_equal(p: int, q: int, r: int, s: int) -> bool:
-    """ExtendedRational(p, q) == ExtendedRational(r, s), on raw ints, with no
-    gcd: cross-multiplication p*s == q*r.  A raw 0/0 cross-multiplies equal to
-    everything, so 0/0 on either side is unequal to all, 0/0 included."""
-    return p * s == q * r and (p != 0 or q != 0) and (r != 0 or s != 0)
-
-
 def is_z_distinct(x: ExtendedRational, y: ExtendedRational) -> bool:
     """True iff x.num*y.den - x.den*y.num = +-1 (a unimodular pair)."""
     return abs(x.num * y.den - x.den * y.num) == 1

@@ -6,7 +6,7 @@ cross-assert two independent transcriptions instead of one definition.  The
 entry formulas are raw-int cores (_cw_core, _farey_core) under thin
 ExtendedRational wrappers.  verify_theorem runs _checks, the cores against the
 tree engine's values, at every path to a depth, a level at a time, on the span
-engine _sweep.tally.
+engine _sweep.tally.  Raw pairs compare first, then cross-multiply; 0/0 fails.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 
 from ._sweep import SweepReport, sweep, tally
 from .matrices import Mat2
-from .rational import ExtendedRational, _raw_equal
+from .rational import ExtendedRational
 
 __all__ = [
     "TheoremReport",
@@ -73,11 +73,16 @@ class TheoremReport(SweepReport):
 
 def _checks(entries, cw, sb) -> tuple[bool, bool]:
     """Both shadow cores on the raw matrix, Calkin-Wilf and Stern-Brocot
-    states at one path.  The cores are read from the module on every node
-    (tests replace them), so a corrupted rule is counted, not raised."""
+    states at one path: equal raw pairs pass, others cross-multiply, a raw 0/0
+    equals nothing.  The cores are read from the module on every node (tests
+    replace them), so a corrupted rule is counted, not raised."""
     (a, b, c, d), (num, den), (lo_num, lo_den, hi_num, hi_den) = entries, cw, sb
-    return (_raw_equal(*_cw_core(a, b, c, d), num, den),
-            _raw_equal(*_farey_core(a, b, c, d), lo_num + hi_num, lo_den + hi_den))
+    (p, q), (r, s) = _cw_core(a, b, c, d), _farey_core(a, b, c, d)
+    med_num, med_den = lo_num + hi_num, lo_den + hi_den
+    return ((p == num and q == den or p * den == q * num)
+            and (p != 0 or q != 0) and (num != 0 or den != 0),
+            (r == med_num and s == med_den or r * med_den == s * med_num)
+            and (r != 0 or s != 0) and (med_num != 0 or med_den != 0))
 
 
 _check_span = partial(tally, ("matrix", "calkin-wilf", "stern-brocot"), _checks, 2)
@@ -89,7 +94,7 @@ def verify_theorem(depth: int, jobs: int = 1) -> TheoremReport:
     Every path with |path| <= depth is visited once; the expected values come
     from the Calkin-Wilf and Stern-Brocot child rules, the actual values from
     the shadow formulas' raw-int cores applied to the matrix tree's nodes.
-    Values are compared by cross-multiplication, which is ExtendedRational
-    equality without building one.  jobs > 1 shards the sweep by subtree.
+    Pairs compare raw first, cross-multiplied only when unequal, 0/0 failing:
+    ExtendedRational equality, building none.  jobs > 1 shards by subtree.
     """
     return sweep(TheoremReport, _check_span, depth, jobs)

@@ -7,8 +7,8 @@ exactly two triples (its mediant and its difference), so directing the edge
 everywhere, and the forward flow unfolds into a binary tree of oriented
 frames.  Conjugating each frame's Moebius matrix reproduces the matrix tree,
 and verify_topograph_proof checks that correspondence exhaustively, on the
-raw-int cores under farey_label, vertex_matrix and conjugate_shadow, mapped
-over the flow and the matrix tree a level at a time by _sweep.tally.
+raw-int cores under farey_label, vertex_matrix and conjugate_shadow, level by
+level (_sweep.tally).  Raw pairs compare first, then cross-multiply; 0/0 fails.
 """
 
 from __future__ import annotations
@@ -188,24 +188,26 @@ def _checks(bounds, node) -> tuple[bool, bool, bool, bool]:
     monoid member), label (the peak label is the node's Farey shadow), mobius
     (the frame sends 1 to the label), frame (bounds of determinant -1, so no
     0/0 mediant, which is the label, Z-distinct from each bound, so not 0/0).
-    Fractions compare by cross-multiplication, a raw 0/0 equal to nothing.
-    The cores are read from the module on every frame (tests replace them)."""
-    lo_num, lo_den, hi_num, hi_den = bounds
-    e, f, g, h = node
+    Fractions compare raw first, cross-multiplied only if unequal, a raw 0/0
+    equal to nothing; a raw mediant label needs no abs test (both reduce to
+    the bounds' determinant).  Cores are read per frame (tests replace them)."""
+    (lo_num, lo_den, hi_num, hi_den), (e, f, g, h) = bounds, node
     num, den = _label_core(lo_num, lo_den, hi_num, hi_den)
     a, b, c, d = _vertex_core(lo_num, lo_den, hi_num, hi_den)
-    p, q = _farey_core(e, f, g, h)
-    x, y = _mobius_core(a, b, c, d, 1, 1)
+    (p, q), (x, y) = _farey_core(e, f, g, h), _mobius_core(a, b, c, d, 1, 1)
     shadow = _conjugate_core(a, b, c, d)
     framed = a >= 0 and b >= 0 and c >= 0 and d >= 0 and a * d - b * c in (1, -1)
     labelled = num != 0 or den != 0
     return (framed and shadow == node
             and e >= 0 and f >= 0 and g >= 0 and h >= 0 and e * h - f * g == 1,
-            num * q == den * p and labelled and (p != 0 or q != 0),
-            framed and x * den == y * num and (x != 0 or y != 0) and labelled,
+            (num == p and den == q or num * q == den * p) and labelled and (p != 0 or q != 0),
+            framed and (x == num and y == den or x * den == y * num)
+            and (x != 0 or y != 0) and labelled,
             lo_num * hi_den - lo_den * hi_num == -1
-            and num * (lo_den + hi_den) == den * (lo_num + hi_num)
-            and abs(lo_num * den - lo_den * num) == 1 and abs(num * hi_den - den * hi_num) == 1)
+            and (num == lo_num + hi_num and den == lo_den + hi_den
+                 or num * (lo_den + hi_den) == den * (lo_num + hi_num)
+                 and abs(lo_num * den - lo_den * num) == 1
+                 and abs(num * hi_den - den * hi_num) == 1))
 
 
 _check_span = partial(tally, ("stern-brocot", "matrix"), _checks, 4)

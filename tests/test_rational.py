@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from mediant.rational import (
     ExtendedRational,
-    _raw_equal,
     compare,
     farey_sequence,
     is_z_distinct,
     mediant,
 )
+from oracles import _raw_equal
 
 nonzero = st.integers(min_value=-(10**9), max_value=10**9).filter(lambda n: n != 0)
 any_int = st.integers(min_value=-(10**9), max_value=10**9)

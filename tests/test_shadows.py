@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 import mediant.shadows
 from mediant.matrices import IDENTITY, Mat2, from_path
-from mediant.rational import ExtendedRational, _raw_equal
+from mediant.rational import ExtendedRational
 from mediant.shadows import (
     _cw_core,
     _farey_core,
@@ -17,6 +18,7 @@ from mediant.shadows import (
     verify_theorem,
 )
 from mediant.trees import cw_value, sb_node, sb_row, walk
+from oracles import _raw_equal
 
 paths = st.text(alphabet="LR", max_size=40)
 _MIRROR = str.maketrans("LR", "RL")
@@ -139,6 +141,32 @@ def test_verify_counts_a_zero_over_zero_core(monkeypatch, core, counter):
     report = verify_theorem(3).as_dict()
     assert report[f"{counter}_failures"] == 15
     assert report["first_failure_path"] == ""
+
+
+@pytest.mark.parametrize("core", ["_cw_core", "_farey_core"])
+@pytest.mark.parametrize("k,failures", [(2, 0), (-1, 0), (0, 63)])
+def test_verify_accepts_a_scaled_core(monkeypatch, core, k, failures):
+    # a scaled pair is never raw-equal to the tree's value, so only the
+    # cross-multiplication can pass it; scaled by 0 it is 0/0 and passes nothing
+    original = getattr(mediant.shadows, core)
+    monkeypatch.setattr(mediant.shadows, core,
+                        lambda *entries: tuple(k * x for x in original(*entries)))
+    report = verify_theorem(5)
+    assert (report.nodes, report.cw_failures + report.farey_failures) == (63, failures)
+    assert report.first_failure_path == ("" if failures else None)
+
+
+def test_checks_match_raw_equal_on_every_small_pair(monkeypatch):
+    # both cores replaced by each constant pair in -2..2, against each expected
+    # pair in -2..2 (the Farey one as a sum of bounds, and reversed, so the
+    # two flags differ), 0/0 on either side included
+    pairs = list(product(range(-2, 3), repeat=2))
+    for value in pairs:
+        monkeypatch.setattr(mediant.shadows, "_cw_core", lambda *_: value)
+        monkeypatch.setattr(mediant.shadows, "_farey_core", lambda *_: value)
+        for num, den in pairs:
+            flags = mediant.shadows._checks((1, 0, 0, 1), (num, den), (den - 1, num + 1, 1, -1))
+            assert flags == (_raw_equal(*value, num, den), _raw_equal(*value, den, num))
 
 
 small = st.integers(min_value=-3, max_value=3)

@@ -9,7 +9,7 @@ import mediant.topograph
 import mediant.trees
 from mediant.shadows import verify_theorem
 from mediant.matrices import IDENTITY, Mat2, _mobius_core, from_path, generators
-from mediant.rational import ExtendedRational, _raw_equal
+from mediant.rational import ExtendedRational
 from mediant.topograph import (
     OrientedVertex,
     _conjugate_core,
@@ -26,6 +26,7 @@ from mediant.topograph import (
     vertex_matrix,
 )
 from mediant.trees import sb_node, walk
+from oracles import _raw_equal
 
 
 def er(num, den=1):

@@ -118,10 +118,27 @@ CATALOGUE = [
     # the verifiers' comparisons
     Mutant(
         "raw-equal-one-sided-zero",
-        "src/mediant/rational.py",
-        "p * s == q * r and (p != 0 or q != 0) and (r != 0 or s != 0)",
-        "p * s == q * r and (r != 0 or s != 0)",
+        "src/mediant/shadows.py",
+        "and (p != 0 or q != 0) and (num != 0 or den != 0)",
+        "and (num != 0 or den != 0)",
         ("tests/test_shadows.py::test_verify_counts_a_zero_over_zero_core",),
+    ),
+    Mutant(
+        "theorem-raw-first-only",
+        "src/mediant/shadows.py",
+        "(p == num and q == den or p * den == q * num)",
+        "(p == num and q == den)",
+        ("tests/test_shadows.py::test_verify_accepts_a_scaled_core",),
+    ),
+    Mutant(
+        "frame-raw-first-before-determinant",
+        "src/mediant/topograph.py",
+        "lo_num * hi_den - lo_den * hi_num == -1\n"
+        "            and (num == lo_num + hi_num and den == lo_den + hi_den\n"
+        "                 or ",
+        "num == lo_num + hi_num and den == lo_den + hi_den\n"
+        "            or lo_num * hi_den - lo_den * hi_num == -1 and (",
+        ("tests/test_topograph.py::test_verify_counts_each_per_frame_clause",),
     ),
     Mutant(
         "frame-ok-z-distinct-at-most-one",
@@ -129,7 +146,8 @@ CATALOGUE = [
         "abs(lo_num * den - lo_den * num) == 1",
         "abs(lo_num * den - lo_den * num) <= 1",
         (),
-        "equivalent: once the determinant is -1 and num/den cross-multiplies equal"
+        "equivalent: the test runs only when the label is not raw-equal to the"
+        " mediant; once the determinant is -1 and num/den cross-multiplies equal"
         " to the mediant, which is in lowest terms, num/den is t times it, and"
         " both halves of the Z-distinct test read |t|; the unmutated half refuses"
         " t = 0 (a 0/0 label), so <= 1 and == 1 agree",
@@ -143,6 +161,34 @@ CATALOGUE = [
          "test_checks_match_the_formulation_before_inlining_on_every_small_frame",),
     ),
     # the CLI and the library around the sweeps
+    Mutant(
+        "number-sign-accepts-plus",
+        "src/mediant/cli.py",
+        '_NUMBER_RE = re.compile(r"(-?)',
+        '_NUMBER_RE = re.compile(r"([-+]?)',
+        ("tests/test_cli.py::test_parse_target",),
+    ),
+    Mutant(
+        "parse-int-counts-the-sign",
+        "src/mediant/rational.py",
+        'count = len(digits) - digits.startswith("-")',
+        "count = len(digits)",
+        ("tests/test_rational.py::test_parse_counts_digits_not_the_sign",),
+    ),
+    Mutant(
+        "parse-error-without-the-text",
+        "src/mediant/rational.py",
+        'raise ValueError(f"not a fraction: {text!r}")',
+        'raise ValueError("not a fraction")',
+        ("tests/test_cli.py::test_locate_names_the_text_it_cannot_parse",),
+    ),
+    Mutant(
+        "topograph-forward-denominator",
+        "src/mediant/cli.py",
+        '"forward": "{ln + hn}/{ld + hd}"',
+        '"forward": "{ln + hn}/{ld + hn}"',
+        ("tests/test_bench_contract.py::test_render_trees_pass_the_bench_checker",),
+    ),
     Mutant(
         "depth-cap-off-by-one",
         "src/mediant/cli.py",

@@ -14,42 +14,42 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, product, tee
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rational import ExtendedRational, _farey, _int_digit_limit, _parse_int
 from .shadows import verify_theorem
 from .stern import _newman, fusc
 from .topograph import verify_topograph_proof
-from .trees import _breadth_first, best_approximation, bfs_index, cw_locate
-from .trees import index_to_path, sb_locate
+from .trees import _breadth_first, best_approximation, bfs_index, cw_locate, sb_locate
 
 __all__ = ["RenderConfig", "build_parser", "main", "parse_target", "render"]
 
-# Render kind: (tree kind, text label of a raw level order state, its json fields
-# after "path").  States are canonical, so a tree label prints as its value's str().
-def _valued(tree_kind, label_of):  # a tree node's json fields: "value": its label
-    return tree_kind, label_of, lambda *state: f'"value": "{label_of(*state)}"'
+
+def _sums(ln, ld, hn, hd):  # a chunk's Stern-Brocot node values: its bounds' sums
+    return map(add, ln, hn), map(add, ld, hd)
 
 
-_TREE_KINDS = {
-    "cw": _valued("calkin-wilf", lambda a, b: f"{a}/{b}"),
-    "sb": _valued("stern-brocot", lambda ln, ld, hn, hd: f"{ln + hn}/{ld + hd}"),  # bounds' sum
-    "matrix": _valued("matrix", lambda a, b, c, d: f"[[{a},{b}],[{c},{d}]]"),
-}
+# Render kind: (tree kind, % templates of one row of the text label and of the json
+# fields after "path", then those rows' columns from the columns of a chunk of raw
+# level order states, None where a state is its own row).  States are canonical, so
+# a tree label prints as its value's str().
 _RENDER_KINDS = {
-    **_TREE_KINDS,
+    "cw": ("calkin-wilf", "%s/%s", '"value": "%s/%s"', None, None),
+    "sb": ("stern-brocot", "%s/%s", '"value": "%s/%s"', _sums, _sums),
+    "matrix": ("matrix", "[[%s,%s],[%s,%s]]", '"value": "[[%s,%s],[%s,%s]]"', None, None),
     "topograph": (  # a Stern-Brocot state: left and right bounds, forward their sum
-        "stern-brocot",
-        lambda ln, ld, hn, hd: f"({ln}/{ld} {ln + hn}/{ld + hd} {hn}/{hd})",
-        lambda ln, ld, hn, hd: f'"left": "{ln}/{ld}",\n    "right": "{hn}/{hd}",\n    '
-        f'"forward": "{ln + hn}/{ld + hd}"',
+        "stern-brocot", "(%s/%s %s/%s %s/%s)",
+        '"left": "%s/%s",\n    "right": "%s/%s",\n    "forward": "%s/%s"',
+        lambda ln, ld, hn, hd: (ln, ld, *_sums(ln, ld, hn, hd), hn, hd),
+        lambda ln, ld, hn, hd: (ln, ld, hn, hd, *_sums(ln, ld, hn, hd)),
     ),
 }
 _FORMATS = ("text", "json", "dot")
 
-# 2^21 - 1 nodes.  Output streams in O(depth) memory, so this bounds run time,
-# not memory.  Raise per run with --max-depth-cap.
+# 2^21 - 1 nodes.  Output streams a chunk at a time in O(depth) memory, so this
+# bounds run time, not memory.  Raise per run with --max-depth-cap.
 DEFAULT_DEPTH_CAP = 20
 
 
@@ -79,47 +79,63 @@ class RenderConfig:
         _check_depth_cap(self.depth, self.max_depth_cap)
 
 
+def _chunks(template: str, parts: Iterable, head: str = "", cut: int = 0) -> Iterator[str]:
+    """template % row for each row of the parts' values, chained, one % per
+    chunk of up to 256 rows; a row is as many values as template has "%s".
+    The first chunk's first `cut` characters become `head`."""
+    width, values = template.count("%s"), chain.from_iterable(parts)
+    while chunk := tuple(islice(values, 256 * width)):
+        yield head + (template * (len(chunk) // width) % chunk)[cut:]
+        head, cut = "", 0
+
+
 def _render_pieces(config: RenderConfig) -> Iterator[str]:
-    """render(config) in pieces, one node at a time in O(depth) memory, each
-    formatted from a raw level order state; a topograph frame is a Stern-Brocot
-    state.  No ExtendedRational, Mat2 or OrientedVertex is built."""
-    tree_kind, label_of, fields_of = _RENDER_KINDS[config.kind]
+    """render(config) in chunks of up to 256 nodes, each one % of a template
+    over raw level order states (a topograph frame is a Stern-Brocot state), in
+    O(depth) memory plus one chunk.  No ExtendedRational, Mat2 or OrientedVertex
+    is built."""
+    tree_kind, label, fields, label_columns, field_columns = _RENDER_KINDS[config.kind]
     states = _breadth_first(tree_kind, config.depth)
-    if config.format == "text":
-        for path, state in states:
-            # a path with no R step is the leftmost node of its level
-            yield ("" if not path else " " if "R" in path else "\n") + label_of(*state)
+
+    def values(nodes, columns_of, path=True):  # the nodes' rows, flat, 256 at a time
+        while chunk := tuple(islice(nodes, 256)):
+            paths, raw = zip(*chunk)
+            columns = zip(*raw) if columns_of is None else columns_of(*zip(*raw))
+            yield chain.from_iterable(zip(paths, *columns) if path else zip(*columns))
+
+    if config.format == "text":  # a level per line: its first chunk cuts its leading " "
+        for level in range(config.depth + 1):
+            nodes = values(islice(states, 1 << level), label_columns, path=False)
+            yield from _chunks(" " + label, nodes, "\n" if level else "", 1)
     elif config.format == "json":
         # json.dumps(list_of_nodes, indent=2), laid out by hand.  No string needs
         # escaping: paths are words over "L"/"R", and values (here and in farey) are
         # written with digits, "/", "-", "[", "]" and ",", none of which JSON escapes.
-        sep = "[\n"
-        for path, state in states:
-            yield f'{sep}  {{\n    "path": "{path}",\n    {fields_of(*state)}\n  }}'
-            sep = ",\n"
+        template = ',\n  {\n    "path": "%s",\n    ' + fields + "\n  }"
+        yield from _chunks(template, values(states, field_columns), "[\n", 2)
         yield "\n]"
-    else:
+    else:  # the root comes first: its dot id "root" replaces its empty path
         yield f"digraph {config.kind} {{"
-        for path, state in states:
-            yield f'\n  "{path or "root"}" [label="{label_of(*state)}"];'
-        for index in range(1, 2 ** (config.depth + 1) - 1):  # every node but the root
-            path = index_to_path(index)
-            yield f'\n  "{path[:-1] or "root"}" -> "{path}";'
+        template = '\n  "%s" [label="' + label + '"];'
+        yield from _chunks(template, values(states, label_columns), '\n  "root"', 5)
+        for level in range(config.depth):  # two edges per parent, in level order
+            parents = map("".join, product("LR", repeat=level))
+            rows = zip(*tee(parents, 4)) if level else [("root", "", "root", "")]
+            yield from _chunks('\n  "%s" -> "%sL";\n  "%s" -> "%sR";', rows)
         yield "\n}"
 
 
 def render(config: RenderConfig) -> str:
-    """Render per config: text is one level per line, json an array of nodes,
-    dot a digraph with stable path-string node ids (root id "root")."""
+    """Render per config, the bulk output's chunks joined: text is one level per
+    line, json an array of nodes, dot a digraph with stable path-string node ids
+    (root id "root")."""
     return "".join(_render_pieces(config))
 
 
-def _write(pieces: Iterable[str]) -> int:
-    """Every bulk command's writer: pieces go to stdout as they are made, 256
-    to a write, so few syscalls are made even when stdout is unbuffered."""
-    pieces = iter(pieces)
-    while batch := list(islice(pieces, 256)):
-        sys.stdout.write("".join(batch))
+def _write(chunks: Iterable[str]) -> int:
+    """Every bulk command's writer: each chunk of up to 256 rows goes to stdout
+    as it is made, so few syscalls are made even when stdout is unbuffered."""
+    sys.stdout.writelines(chunks)
     sys.stdout.flush()  # a reader that left shows here, not in the flush at exit
     return 0
 
@@ -172,7 +188,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
 def _cmd_stern(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError("--count must be non-negative")
-    return _write(f"{s}\n" for s in _newman(args.count))
+    return _write(_chunks("%s\n", [_newman(args.count)]))
 
 
 def _cmd_fusc(args: argparse.Namespace) -> int:
@@ -210,10 +226,9 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_farey(args: argparse.Namespace) -> int:
-    terms = _farey(args.max_den)
-    num, den = next(terms)  # a refused max_den raises here, before any write
-    # the raw pairs are in lowest terms, so "num/den" is each term's canonical text
-    return _write(chain([f'["{num}/{den}"'], (f', "{a}/{b}"' for a, b in terms), ["]\n"]))
+    # The raw pairs are in lowest terms, so "num/den" is each term's canonical
+    # text.  A refused max_den raises at the first term, before any write.
+    return _write(chain(_chunks(', "%s/%s"', _farey(args.max_den), "[", 2), ["]\n"]))
 
 
 def _add_cap(sub: argparse.ArgumentParser) -> None:
@@ -234,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     tree = sub.add_parser("tree", help="enumerate a tree level by level")
-    tree.add_argument("--kind", choices=sorted(_TREE_KINDS), required=True)
+    tree.add_argument("--kind", choices=("cw", "matrix", "sb"), required=True)
     tree.add_argument("--depth", type=int, required=True, metavar="N")
     tree.add_argument("--format", choices=_FORMATS, default="text")
     _add_cap(tree)

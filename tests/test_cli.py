@@ -133,7 +133,7 @@ def test_stern_sequence():
     assert out == "0\n1\n1\n2\n1\n3\n"
 
 
-@pytest.mark.parametrize("count", [0, 1, 6, 4095, 4096, 4097])
+@pytest.mark.parametrize("count", [0, 1, 6, 255, 256, 257, 513, 4095, 4096, 4097])
 def test_stern_count_writes_every_term_once(count):
     code, out, _ = run_cli("stern", "--count", str(count))
     assert code == 0
@@ -303,7 +303,7 @@ def test_json_is_laid_out_as_json_dumps_indent_2(kind, depth):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-@pytest.mark.parametrize("kind", ["cw", "matrix", "topograph"])
+@pytest.mark.parametrize("kind", ["cw", "sb", "matrix", "topograph"])
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
 def test_render_is_the_cli_output_without_its_newline(kind, fmt):
     code, out, _ = run_cli(*_tree_argv(kind, 4, fmt))
@@ -345,10 +345,11 @@ def _render_from_public_objects(kind, depth, fmt):
 
 @pytest.mark.parametrize("kind", ["cw", "sb", "matrix", "topograph"])
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
-@pytest.mark.parametrize("depth", range(9))
+@pytest.mark.parametrize("depth", range(11))
 def test_render_matches_the_public_objects(kind, fmt, depth):
     # render formats raw level order states; the values must still be the
-    # ExtendedRational and Mat2 text of the per-path lookups, in BFS order
+    # ExtendedRational and Mat2 text of the per-path lookups, in BFS order.
+    # Levels 9 and 10 hold more nodes than one 256-row chunk.
     expected = _render_from_public_objects(kind, depth, fmt)
     assert render(RenderConfig(kind=kind, depth=depth, format=fmt)) == expected
 
@@ -405,12 +406,16 @@ def test_verify_with_two_jobs_runs_a_real_pool_and_counts_as_one_job():
         "topograph --depth 13 --format json",
         "tree --kind matrix --depth 13 --format dot",
         "tree --kind sb --depth 13",
+        "tree --kind cw --depth 13",
+        "tree --kind cw --depth 13 --format json",
+        "topograph --depth 13",
         "farey --max-den 300",
+        "stern --count 300000",
     ],
 )
 def test_bulk_output_streams_in_bounded_memory(argv, monkeypatch):
-    # 16,383 nodes or 27,399 terms: holding one small object per node or term
-    # (a row tuple, an ExtendedRational) already costs several MB
+    # 16,383 nodes, 27,399 terms or 300,000 terms: holding one small object per
+    # node or term (a row tuple, an ExtendedRational) already costs several MB
 
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
@@ -429,7 +434,15 @@ def _buffered_env():
     return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
-@pytest.mark.parametrize("argv", ["stern --count 1000000", "tree --kind cw --depth 16"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "stern --count 1000000",
+        "tree --kind cw --depth 16",
+        "farey --max-den 3000",
+        "topograph --depth 16 --format json",
+    ],
+)
 def test_closed_pipe_exits_141_without_a_traceback(argv, tmp_path):
     with open(tmp_path / "stderr", "w+") as err:
         proc = subprocess.Popen(
@@ -438,7 +451,7 @@ def test_closed_pipe_exits_141_without_a_traceback(argv, tmp_path):
             stderr=err,
             env=_buffered_env(),
         )
-        proc.stdout.readline()
+        proc.stdout.readline(1 << 16)  # farey's output is one line
         proc.stdout.close()  # the output is megabytes, so the writer is still going
         assert proc.wait(timeout=60) == 141
         err.seek(0)

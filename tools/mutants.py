@@ -185,8 +185,8 @@ CATALOGUE = [
     Mutant(
         "topograph-forward-denominator",
         "src/mediant/cli.py",
-        '"forward": "{ln + hn}/{ld + hd}"',
-        '"forward": "{ln + hn}/{ld + hn}"',
+        "(ln, ld, hn, hd, *_sums(ln, ld, hn, hd))",
+        "(ln, ld, hn, hd, *_sums(ln, ld, hn, hn))",
         ("tests/test_bench_contract.py::test_render_trees_pass_the_bench_checker",),
     ),
     Mutant(
@@ -205,13 +205,41 @@ CATALOGUE = [
         "equivalent: on unimodular neighbours a < c with b > d forces a = d = 0,"
         " so the upper bound is 1/0 and both keys pick the same side",
     ),
+    # the chunked writers of the bulk commands
     Mutant(
-        "write-one-piece-per-write",
+        "text-level-keeps-its-space",
         "src/mediant/cli.py",
-        "islice(pieces, 256)",
-        "islice(pieces, 1)",
-        (),
-        "equivalent: the output bytes are the same; only the number of writes grows",
+        '_chunks(" " + label, nodes, "\\n" if level else "", 1)',
+        '_chunks(" " + label, nodes, "\\n" if level else "", 0)',
+        ("tests/test_cli.py::test_tree_cw_text",),
+    ),
+    Mutant(
+        "json-keeps-its-comma",
+        "src/mediant/cli.py",
+        'values(states, field_columns), "[\\n", 2)',
+        'values(states, field_columns), "[\\n", 0)',
+        ("tests/test_cli.py::test_tree_matrix_json",),
+    ),
+    Mutant(
+        "dot-edges-right-first",
+        "src/mediant/cli.py",
+        'product("LR", repeat=level)',
+        'product("RL", repeat=level)',
+        ("tests/test_cli.py::test_render_matches_the_public_objects",),
+    ),
+    Mutant(
+        "chunk-head-on-every-chunk",
+        "src/mediant/cli.py",
+        '        head, cut = "", 0\n',
+        "",
+        ("tests/test_cli.py::test_render_matches_the_public_objects",),
+    ),
+    Mutant(
+        "level-cut-at-a-chunk",
+        "src/mediant/cli.py",
+        "values(islice(states, 1 << level)",
+        "values(islice(states, min(1 << level, 256))",
+        ("tests/test_cli.py::test_render_matches_the_public_objects",),
     ),
 ]
 

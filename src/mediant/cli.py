@@ -33,8 +33,8 @@ def _sums(ln, ld, hn, hd):  # a chunk's Stern-Brocot node values: its bounds' su
 
 # Render kind: (tree kind, % templates of one row of the text label and of the json
 # fields after "path", then those rows' columns from the columns of a chunk of raw
-# level order states, None where a state is its own row).  States are canonical, so
-# a tree label prints as its value's str().
+# states, as the tree kind's _TREE_RULES child rule grows them, None where a state
+# is its own row).  States are in lowest terms, so a label prints as its value's str().
 _RENDER_KINDS = {
     "cw": ("calkin-wilf", "%s/%s", '"value": "%s/%s"', None, None),
     "sb": ("stern-brocot", "%s/%s", '"value": "%s/%s"', _sums, _sums),
@@ -91,33 +91,33 @@ def _chunks(template: str, parts: Iterable, head: str = "", cut: int = 0) -> Ite
 
 def _render_pieces(config: RenderConfig) -> Iterator[str]:
     """render(config) in chunks of up to 256 nodes, each one % of a template
-    over raw level order states (a topograph frame is a Stern-Brocot state), in
-    O(depth) memory plus one chunk.  No ExtendedRational, Mat2 or OrientedVertex
-    is built."""
+    over the raw states of a _breadth_first chunk (a topograph frame is a
+    Stern-Brocot state), in O(depth) memory.  No ExtendedRational, Mat2 or
+    OrientedVertex is built."""
     tree_kind, label, fields, label_columns, field_columns = _RENDER_KINDS[config.kind]
-    states = _breadth_first(tree_kind, config.depth)
+    levels = _breadth_first(tree_kind, config.depth)
 
-    def values(nodes, columns_of, path=True):  # the nodes' rows, flat, 256 at a time
-        while chunk := tuple(islice(nodes, 256)):
-            paths, raw = zip(*chunk)
-            columns = zip(*raw) if columns_of is None else columns_of(*zip(*raw))
-            yield chain.from_iterable(zip(paths, *columns) if path else zip(*columns))
+    def values(levels, columns_of, path=True):  # the rows of each chunk, flat
+        for parent, suffixes, states in chain.from_iterable(levels):
+            columns = zip(*states) if columns_of is None else columns_of(*zip(*states))
+            rows = zip(map(parent.__add__, suffixes), *columns) if path else zip(*columns)
+            yield chain.from_iterable(rows)
 
     if config.format == "text":  # a level per line: its first chunk cuts its leading " "
-        for level in range(config.depth + 1):
-            nodes = values(islice(states, 1 << level), label_columns, path=False)
+        for level, chunks in enumerate(levels):
+            nodes = values([chunks], label_columns, path=False)
             yield from _chunks(" " + label, nodes, "\n" if level else "", 1)
     elif config.format == "json":
         # json.dumps(list_of_nodes, indent=2), laid out by hand.  No string needs
         # escaping: paths are words over "L"/"R", and values (here and in farey) are
         # written with digits, "/", "-", "[", "]" and ",", none of which JSON escapes.
         template = ',\n  {\n    "path": "%s",\n    ' + fields + "\n  }"
-        yield from _chunks(template, values(states, field_columns), "[\n", 2)
+        yield from _chunks(template, values(levels, field_columns), "[\n", 2)
         yield "\n]"
     else:  # the root comes first: its dot id "root" replaces its empty path
         yield f"digraph {config.kind} {{"
         template = '\n  "%s" [label="' + label + '"];'
-        yield from _chunks(template, values(states, label_columns), '\n  "root"', 5)
+        yield from _chunks(template, values(levels, label_columns), '\n  "root"', 5)
         for level in range(config.depth):  # two edges per parent, in level order
             parents = map("".join, product("LR", repeat=level))
             rows = zip(*tee(parents, 4)) if level else [("root", "", "root", "")]

@@ -23,7 +23,7 @@ from ._sweep import SweepReport, sweep, tally
 from .matrices import Mat2, Path, _mobius_core, from_path
 from .rational import ExtendedRational, is_z_distinct
 from .shadows import _farey_core
-from .trees import _breadth_first, sb_node
+from .trees import _breadth_first, _pairs, sb_node
 
 __all__ = [
     "OrientedVertex",
@@ -108,11 +108,11 @@ def forward_tree(depth: int) -> Iterator[OrientedVertex]:
     Root frame (left 0/1, right 1/0, forward 1/1).  The left child keeps the
     left label and advances across the edge {left, forward}; the right child
     keeps the right label.  That is the Stern-Brocot bounds descent, so the
-    frames are trees.walk("stern-brocot") states, in breadth-first order by
-    the matrix tree's level-order successor (trees._breadth_first).  Yields
-    2^(depth+1) - 1 frames for levels 0..depth.
+    frames are trees.walk("stern-brocot") states, grown level by level by the
+    same child rule (trees._breadth_first).  Yields 2^(depth+1) - 1 frames
+    for levels 0..depth.
     """
-    return (_frame(path, state) for path, state in _breadth_first("stern-brocot", depth))
+    return (_frame(path, state) for path, state in _pairs(*_breadth_first("stern-brocot", depth)))
 
 
 def _frame(path: Path, state: tuple[int, int, int, int]) -> OrientedVertex:

@@ -10,7 +10,7 @@ exactly once, which is what makes locate well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Any, Iterator, Union
 
 from .matrices import MAX_LOCATE_STEPS, Mat2, Path, _runs, _spell, validate_path
@@ -292,36 +292,35 @@ def _rows(roots, rules, depth: int, prefix: Path, width: int) -> Iterator[tuple[
             yield path, rows
 
 
-# kind: the walk state of the matrix-tree node (a b; c d) at the same path
-_SHADOW_STATES = {
-    "calkin-wilf": lambda a, b, c, d: (a + b, c + d),
-    "stern-brocot": lambda a, b, c, d: (b, a, d, c),
-    "matrix": lambda a, b, c, d: (a, b, c, d),
-}
+_SPAN = 8  # the most levels a level order chunk grows below its parent
 
 
-def _breadth_first(kind: str, depth: int) -> Iterator[tuple[Path, Any]]:
-    """walk's (path, state) pairs level by level, left to right, levels
-    0..depth, in O(depth) memory.  Arguments are checked here, eagerly."""
-    _start(kind, depth, "")
-    return _level_order(_SHADOW_STATES[kind], depth)
+def _breadth_first(kind: str, depth: int) -> list[Iterator[tuple[Path, list, list]]]:
+    """walk's states level by level, levels 0..depth: level L as chunks
+    (path, suffixes, states), left to right, states[i] at path + suffixes[i].
+    Arguments are checked here, eagerly."""
+    root, rule = _start(kind, depth, "")
+    suffixes = [list(map("".join, product("LR", repeat=k))) for k in range(min(depth, _SPAN) + 1)]
+    return [_level(root, rule, suffixes, level) for level in range(depth + 1)]
 
 
-def _level_order(state_of, depth: int) -> Iterator[tuple[Path, Any]]:
-    # Newman's successor on the matrix tree: after a path P L R^k comes
-    # P R L^k, and M = (a b; c d) at the first becomes (c d; m*c - a, m*d - b)
-    # with m = 2k + 1 at the second.  Each level starts at L^level.
-    tails = ["R" + "L" * k for k in range(depth)]  # R L^k, which replaces L R^k
-    for level in range(depth + 1):
-        path = "L" * level
-        a, b, c, d = 1, 0, level, 1
-        yield path, state_of(a, b, c, d)
-        for n in range(1, 1 << level):
-            k = (n & -n).bit_length() - 1  # the R steps that end node n - 1
-            path = path[: level - k - 1] + tails[k]
-            m = 2 * k + 1
-            a, b, c, d = c, d, m * c - a, m * d - b
-            yield path, state_of(a, b, c, d)
+def _level(root, rule, suffixes, level: int) -> Iterator[tuple[Path, list, list]]:
+    # A chunk is the row k = min(level, _SPAN) levels below one node of level
+    # level - k, grown as _rows grows a row; those nodes come from this same
+    # engine, so O(level / _SPAN) chunks are alive at once.
+    k = min(level, _SPAN)
+    parents = _pairs(_level(root, rule, suffixes, level - k)) if k < level else [("", root)]
+    for path, state in parents:
+        row = [state]
+        for _ in range(k):
+            row = list(chain.from_iterable(map(rule, row)))
+        yield path, suffixes[k], row
+
+
+def _pairs(*levels) -> Iterator[tuple[Path, Any]]:
+    """The (path, state) pairs of the chunks of `levels`, in order."""
+    chunks = chain.from_iterable(levels)
+    return chain.from_iterable(zip(map(p.__add__, s), states) for p, s, states in chunks)
 
 
 def level_iter(kind: str, depth: int) -> Iterator[TreeNode]:
@@ -329,9 +328,9 @@ def level_iter(kind: str, depth: int) -> Iterator[TreeNode]:
     exactly 2^(depth+1) - 1 nodes.
 
     `kind` is one of "calkin-wilf", "stern-brocot" or "matrix"; the matrix
-    tree yields Mat2 values.  The order comes from Newman's level-order
-    successor, applied to the matrix tree and projected onto `kind`.
+    tree yields Mat2 values.  The levels are grown by the kind's own child
+    rule, the one walk uses, in chunks of at most 2^_SPAN nodes.
     """
-    states = _breadth_first(kind, depth)
+    states = _pairs(*_breadth_first(kind, depth))
     value_of = _TREE_RULES[kind][2]
     return (TreeNode(path, value_of(state)) for path, state in states)

@@ -314,7 +314,8 @@ def test_render_is_the_cli_output_without_its_newline(kind, fmt):
 def _public_nodes(kind, depth):
     """(path, text label, json object) per node in BFS order, from
     index_to_path and the per-path lookups cw_value, sb_node and from_path:
-    each keeps its own per-step loop, apart from render's level order."""
+    each keeps its own per-step loop and shares no rule with _TREE_RULES,
+    whose child rules grow render's level order."""
     for index in range(2 ** (depth + 1) - 1):
         path = index_to_path(index)
         if kind == "topograph":
@@ -352,6 +353,18 @@ def test_render_matches_the_public_objects(kind, fmt, depth):
     # Levels 9 and 10 hold more nodes than one 256-row chunk.
     expected = _render_from_public_objects(kind, depth, fmt)
     assert render(RenderConfig(kind=kind, depth=depth, format=fmt)) == expected
+
+
+@pytest.mark.parametrize("span", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["cw", "sb", "matrix", "topograph"])
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_render_does_not_depend_on_the_span(monkeypatch, span, kind, fmt):
+    # a level's chunks grow _SPAN levels below nodes that are themselves grown
+    # from chunks: at span 1 to 3, depth 7 takes up to six such hops, which at
+    # the default span 8 only levels 17 and up take
+    monkeypatch.setattr("mediant.trees._SPAN", span)
+    expected = _render_from_public_objects(kind, 7, fmt)
+    assert render(RenderConfig(kind=kind, depth=7, format=fmt)) == expected
 
 
 def test_import_leaves_the_process_pool_modules_unloaded():

@@ -476,10 +476,21 @@ def test_level_iter_is_walk_stably_sorted_by_level(kind, prefix):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_level_iter_is_walk_stably_sorted_by_level_at_depth_12(kind):
-    # the level-order successor rewrites runs of up to 11 trailing R steps here
+    # levels 9 to 12 are grown in chunks of 2^8 nodes below nodes of levels 1 to 4
     by_level = sorted(walk(kind, 12), key=lambda item: len(item[0]))
     expected = [(path, _node_value(kind, state)) for path, state in by_level]
     assert [(node.path, node.value) for node in level_iter(kind, 12)] == expected
+
+
+@pytest.mark.parametrize("span", [1, 2, 3])
+@pytest.mark.parametrize("kind", KINDS)
+def test_level_iter_does_not_depend_on_the_span(monkeypatch, span, kind):
+    # at span 1 to 3, depth 7 grows chunks below nodes that are themselves grown
+    # from chunks, up to six hops deep
+    monkeypatch.setattr("mediant.trees._SPAN", span)
+    by_level = sorted(walk(kind, 7), key=lambda item: len(item[0]))
+    expected = [(path, _node_value(kind, state)) for path, state in by_level]
+    assert [(node.path, node.value) for node in level_iter(kind, 7)] == expected
 
 
 @pytest.mark.parametrize("kind", KINDS)

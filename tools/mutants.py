@@ -44,13 +44,30 @@ class Mutant(NamedTuple):
 
 
 CATALOGUE = [
-    # the row engine, the span engine and the sweep driver
+    # the row engine, the level order, the span engine and the sweep driver
     Mutant(
         "rows-halves-swapped",
         "src/mediant/trees.py",
         '[row[half:] for row in rows]))\n                path, rows = path + "L", [row[:half]',
         '[row[:half] for row in rows]))\n                path, rows = path + "L", [row[half:]',
         ("tests/test_trees.py::test_rows_partition_every_path_under_the_prefix",),
+    ),
+    Mutant(
+        "level-order-suffixes-reversed",
+        "src/mediant/trees.py",
+        'product("LR", repeat=k)',
+        'product("RL", repeat=k)',
+        ("tests/test_trees.py::test_level_iter_is_walk_stably_sorted_by_level",),
+    ),
+    Mutant(
+        "cw-children-swapped",
+        "src/mediant/trees.py",
+        "return (a, a + b), (a + b, b)",
+        "return (a + b, b), (a, a + b)",
+        (
+            "tests/test_cli.py::test_render_matches_the_public_objects",
+            "tests/test_trees.py::test_level_iter_calkin_wilf",
+        ),
     ),
     Mutant(
         "tally-first-found",
@@ -216,8 +233,8 @@ CATALOGUE = [
     Mutant(
         "json-keeps-its-comma",
         "src/mediant/cli.py",
-        'values(states, field_columns), "[\\n", 2)',
-        'values(states, field_columns), "[\\n", 0)',
+        'values(levels, field_columns), "[\\n", 2)',
+        'values(levels, field_columns), "[\\n", 0)',
         ("tests/test_cli.py::test_tree_matrix_json",),
     ),
     Mutant(
@@ -232,13 +249,6 @@ CATALOGUE = [
         "src/mediant/cli.py",
         '        head, cut = "", 0\n',
         "",
-        ("tests/test_cli.py::test_render_matches_the_public_objects",),
-    ),
-    Mutant(
-        "level-cut-at-a-chunk",
-        "src/mediant/cli.py",
-        "values(islice(states, 1 << level)",
-        "values(islice(states, min(1 << level, 256))",
         ("tests/test_cli.py::test_render_matches_the_public_objects",),
     ),
 ]

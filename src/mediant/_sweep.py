@@ -1,12 +1,13 @@
-"""The sweep driver, subtree sharding and span engine of the exhaustive verifiers."""
+"""The sweep driver, subtree sharding and span engine: one walk runs every verifier's checks."""
 
 from __future__ import annotations
 
 import os
 import time
 from dataclasses import fields
-from itertools import product
-from typing import Any, Callable, Optional, TypeVar
+from functools import partial
+from itertools import chain, product
+from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import trees
 
@@ -19,7 +20,8 @@ class SweepReport:
 
     Subclasses are frozen dataclasses whose fields are, in order: depth, the
     visit count, one or more counters named *_failures, first_failure_path
-    and elapsed_s.  That order is the key order of as_dict.
+    and elapsed_s, the wall time of the one walk that made every report of a
+    sweep call.  That order is the key order of as_dict.
     """
 
     @property
@@ -36,28 +38,24 @@ class SweepReport:
         return out
 
 
-def sweep(
-    report: Callable[..., R],
-    span_fn: Callable[[str, int], tuple],
-    depth: int,
-    jobs: int,
-) -> R:
-    """Run span_fn over every subtree span to `depth` and fold the results.
-
-    span_fn returns its counters (visits, then failures) followed by the
-    earliest_failure of its failing paths, or None.  The counters are summed
-    over the spans and passed to `report` as (depth, *counters, earliest
-    failing path, elapsed seconds).
-    """
+def sweep(verifiers: Sequence[tuple[Callable[..., R], tuple]], depth: int, jobs: int) -> list[R]:
+    """One walk to `depth` for all the (report, declaration) pairs, each tree
+    any check reads grown once, folded into one report per pair: (depth,
+    visits, the sums of its `width` failure counters, its own BFS-earliest
+    failing path, elapsed seconds: the walk's, the same in every report)."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     start = time.perf_counter()
-    parts = run_spans(span_fn, depth, jobs)
-    counters = [sum(column) for column in zip(*(part[:-1] for part in parts))]
-    first = earliest_failure([part[-1] for part in parts])
-    return report(depth, *counters, first, time.perf_counter() - start)
+    columns = list(zip(*run_spans(partial(tally, tuple(d for _, d in verifiers)), depth, jobs)))
+    elapsed, at, reports = time.perf_counter() - start, 1, []
+    for report, (_, _, width) in verifiers:
+        counters = map(sum, columns[at:at + width])
+        first = earliest_failure(columns[at + width])
+        reports.append(report(depth, sum(columns[0]), *counters, first, elapsed))
+        at += width + 1
+    return reports
 
 
 def spans(depth: int, jobs: int) -> list[tuple[str, int]]:
@@ -93,30 +91,35 @@ def run_spans(span_fn: Callable[[str, int], T], depth: int, jobs: int) -> list[T
         return list(pool.map(span_fn, (p for p, _ in parts), (d for _, d in parts)))
 
 
-def tally(kinds: tuple[str, ...], check: Callable[..., tuple], width: int,
-          prefix: str, depth: int) -> tuple:
-    """The span engine: map `check` (one state per kind in, `width` ok flags
-    out) over each row trees._rows grows of the trees named by `kinds` over
-    one subtree span.  Only a row with a failure is gone through node by node,
-    and only a failing node gets a path.  Returns what `sweep` folds: visits,
-    one failure count per flag, the BFS-earliest failing path or None."""
+def tally(declarations: tuple[tuple, ...], prefix: str, depth: int) -> tuple:
+    """The span engine.  A declaration is (check, kinds, width): `check` takes
+    one state per tree kind named in `kinds` and returns `width` ok flags.
+    Each tree any declaration names is grown once, by trees._rows, over one
+    subtree span, and every check is mapped over each row.  Only a row with
+    a failure is gone through node by node, and only a failing node gets a
+    path.  Returns what `sweep` folds: visits, then per declaration its
+    failure counts and its own BFS-earliest failing path or None."""
+    kinds = list(dict.fromkeys(chain.from_iterable(d[1] for d in declarations)))
     roots, rules = zip(*(trees._start(kind, depth, prefix) for kind in kinds))
-    passed = (True,) * width
-    visits, failures, first = 0, [0] * width, None
+    groups = [(check, [kinds.index(kind) for kind in own], (True,) * width, [0] * width + [None])
+              for check, own, width in declarations]
+    visits = 0
     for path, rows in trees._rows(roots, rules, depth, prefix, trees._ROW):
-        oks = list(map(check, *rows))
-        visits += len(oks)
-        if oks.count(passed) == len(oks):
-            continue
-        for n, flags in enumerate(oks):
-            if False in flags:
-                for i, ok in enumerate(flags):
-                    failures[i] += not ok
-                first = earliest_failure([first, path + trees.index_to_path(len(oks) - 1 + n)])
-    return (visits, *failures, first)
+        visits += len(rows[0])
+        for check, at, passed, counts in groups:
+            oks = list(map(check, *[rows[k] for k in at]))
+            if oks.count(passed) == len(oks):
+                continue
+            for n, flags in enumerate(oks):
+                if False in flags:
+                    for i, ok in enumerate(flags):
+                        counts[i] += not ok
+                    found = path + trees.index_to_path(len(oks) - 1 + n)
+                    counts[-1] = earliest_failure([counts[-1], found])
+    return (visits, *chain.from_iterable(counts for *_, counts in groups))
 
 
-def earliest_failure(paths: list[Optional[str]]) -> Optional[str]:
+def earliest_failure(paths: Iterable[Optional[str]]) -> Optional[str]:
     """The BFS-earliest non-None path (shortest, then lexicographic), or None."""
     found = [p for p in paths if p is not None]
     if not found:

@@ -18,10 +18,11 @@ from itertools import chain, islice, product, tee
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
+from ._sweep import sweep
 from .rational import ExtendedRational, _farey, _int_digit_limit, _parse_int
-from .shadows import verify_theorem
+from .shadows import _THEOREM, TheoremReport
 from .stern import _newman, fusc
-from .topograph import verify_topograph_proof
+from .topograph import _FLOW, TopographReport
 from .trees import _breadth_first, best_approximation, bfs_index, cw_locate, sb_locate
 
 __all__ = ["RenderConfig", "build_parser", "main", "parse_target", "render"]
@@ -198,10 +199,8 @@ def _cmd_fusc(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_depth_cap(args.depth, args.max_depth_cap)
-    reports = {
-        "theorem": verify_theorem(args.depth, jobs=args.jobs),
-        "topograph": verify_topograph_proof(args.depth, jobs=args.jobs),
-    }
+    verifiers = [(TheoremReport, _THEOREM), (TopographReport, _FLOW)]  # one walk, one pool
+    reports = dict(zip(("theorem", "topograph"), sweep(verifiers, args.depth, args.jobs)))
     print(json.dumps({name: report.as_dict() for name, report in reports.items()}, indent=2))
     failed = [(name, report) for name, report in reports.items() if not report.ok]
     for name, report in failed:

@@ -7,8 +7,9 @@ exactly two triples (its mediant and its difference), so directing the edge
 everywhere, and the forward flow unfolds into a binary tree of oriented
 frames.  Conjugating each frame's Moebius matrix reproduces the matrix tree,
 and verify_topograph_proof checks that correspondence exhaustively, on the
-raw-int cores under farey_label, vertex_matrix and conjugate_shadow, level by
-level (_sweep.tally).  Raw pairs compare first, then cross-multiply; 0/0 fails.
+raw-int cores under farey_label, vertex_matrix and conjugate_shadow: _checks is
+a _sweep.tally declaration (_FLOW), which `mediant verify` runs on one walk
+with the theorem's.  Raw pairs compare first, then cross-multiply; 0/0 fails.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def _checks(bounds, node) -> tuple[bool, bool, bool, bool]:
                  and abs(num * hi_den - den * hi_num) == 1))
 
 
-_check_span = partial(tally, ("stern-brocot", "matrix"), _checks, 4)
+_FLOW = (_checks, ("stern-brocot", "matrix"), 4)  # a _sweep.tally declaration
+_check_span = partial(tally, (_FLOW,))
 
 
 def verify_topograph_proof(depth: int, jobs: int = 1) -> TopographReport:
@@ -224,4 +226,4 @@ def verify_topograph_proof(depth: int, jobs: int = 1) -> TopographReport:
     level beside the flow, so they never depend on the flow being checked.
     _checks runs on raw tree states: no ExtendedRational or Mat2 per frame.
     """
-    return sweep(TopographReport, _check_span, depth, jobs)
+    return sweep([(TopographReport, _FLOW)], depth, jobs)[0]

@@ -247,7 +247,7 @@ def test_depth_cap(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("a refused depth started work")
 
-    for name in ("verify_theorem", "verify_topograph_proof", "_breadth_first"):
+    for name in ("sweep", "_breadth_first"):
         monkeypatch.setattr(f"mediant.cli.{name}", started)
     code, _, err = run_cli("tree", "--kind", "cw", "--depth", "21")
     assert code == 2 and "safety cap" in err

@@ -1,4 +1,6 @@
 import concurrent.futures
+import dataclasses
+import json
 import os
 import pickle
 import tracemalloc
@@ -11,9 +13,10 @@ import mediant._sweep as sweep
 import mediant.shadows
 import mediant.topograph
 import mediant.trees
+from mediant.cli import main
 from mediant.matrices import from_path
-from mediant.shadows import verify_theorem
-from mediant.topograph import verify_topograph_proof
+from mediant.shadows import TheoremReport, verify_theorem
+from mediant.topograph import TopographReport, verify_topograph_proof
 from mediant.trees import walk
 
 
@@ -99,15 +102,22 @@ def test_span_functions_survive_pickling(module, width):
 FAILING = ("LLL", "R")
 
 
-def _fail_at(monkeypatch, paths):
-    """Make one check fail in each sweep, only at the given paths."""
+def _fail_at(monkeypatch, paths, label_paths=None):
+    """Make one check fail in each sweep: the theorem's Calkin-Wilf check only
+    at `paths`, the topograph's label check only at `label_paths` (by default
+    the same paths)."""
     wrong = (0, 1)
     entries = {(m.a, m.b, m.c, m.d) for m in map(from_path, paths)}
     cw_core = mediant.shadows._cw_core
     monkeypatch.setattr(
         mediant.shadows, "_cw_core", lambda *m: wrong if m in entries else cw_core(*m)
     )
-    bounds = {state for path, state in walk("stern-brocot", max(map(len, paths))) if path in paths}
+    label_paths = paths if label_paths is None else label_paths
+    bounds = {
+        state
+        for path, state in walk("stern-brocot", max(map(len, label_paths)))
+        if path in label_paths
+    }
     label_core = mediant.topograph._label_core
     monkeypatch.setattr(
         mediant.topograph, "_label_core", lambda *s: wrong if s in bounds else label_core(*s)
@@ -154,14 +164,88 @@ def test_first_failure_is_the_bfs_earliest_across_spans(monkeypatch, fake_pool):
     assert len(sweep.spans(5, 2)) > 1
 
 
+# what `mediant verify` sweeps: both declarations on one walk
+VERIFIERS = [(TheoremReport, mediant.shadows._THEOREM), (TopographReport, mediant.topograph._FLOW)]
+
+
+@pytest.mark.parametrize("report,declaration", VERIFIERS)
+def test_a_declaration_has_one_flag_per_counter_of_its_report(report, declaration):
+    # sweep slices the span tuple by each declaration's width and hands the
+    # slice to its report, so a wrong width would give counters to the wrong report
+    _, kinds, width = declaration
+    counters = [f.name for f in dataclasses.fields(report) if f.name.endswith("_failures")]
+    assert width == len(counters)
+    assert set(kinds) <= set(mediant.trees._TREE_RULES)
+
+
+def _count_rule_calls(monkeypatch):
+    """Wrap each tree's child rule (read at call time) with a call counter."""
+    calls = Counter()
+
+    def counted(kind, rule):
+        def children(state):
+            calls[kind] += 1
+            return rule(state)
+        return children
+
+    for kind, (root, rule, value) in list(mediant.trees._TREE_RULES.items()):
+        monkeypatch.setitem(mediant.trees._TREE_RULES, kind, (root, counted(kind, rule), value))
+    return calls
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_grows_each_tree_once_with_one_pool(monkeypatch, fake_pool, capsys, jobs):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls = _count_rule_calls(monkeypatch)
+    assert main(["verify", "--depth", "8", "--jobs", str(jobs)]) == 0
+    # per span, for each of the three trees: one call per step of the descent
+    # to its prefix, then one per internal node of its subtree (2^8 - 1 in all
+    # at jobs 1); a second walk of any tree would double its count
+    parts = sweep.spans(8, jobs)
+    grown = sum(len(prefix) + 2 ** (depth - len(prefix)) - 1 for prefix, depth in parts)
+    assert calls == dict.fromkeys(("matrix", "calkin-wilf", "stern-brocot"), grown)
+    assert [pool.tasks for pool in fake_pool] == ([len(parts)] if jobs > 1 else [])
+    reports = json.loads(capsys.readouterr().out)
+    assert reports["theorem"]["nodes"] == reports["topograph"]["frames"] == 2**9 - 1
+    assert reports["theorem"]["elapsed_s"] == reports["topograph"]["elapsed_s"]
+
+
+@pytest.mark.parametrize("row,jobs", [(1, 1), (2, 1), (mediant.trees._ROW, 1), (1, 2)])
+@pytest.mark.parametrize("cw_path,label_path", [FAILING, FAILING[::-1]])
+def test_joint_sweep_keeps_each_checks_own_first_failure(
+    monkeypatch, fake_pool, capsys, row, jobs, cw_path, label_path
+):
+    # one path is the earlier in preorder, the other in BFS order: a first
+    # failure shared between the checks shows here, whichever check owns which
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mediant.trees, "_ROW", row)
+    _fail_at(monkeypatch, [cw_path], [label_path])
+    assert main(["verify", "--depth", "9", "--jobs", str(jobs)]) == 1
+    assert [pool.tasks for pool in fake_pool] == ([len(sweep.spans(9, 2))] if jobs > 1 else [])
+    out, err = capsys.readouterr()
+    theorem, topograph = json.loads(out).values()
+    assert theorem["nodes"] == 2**10 - 1
+    assert (theorem["cw_failures"], theorem["farey_failures"]) == (1, 0)
+    assert theorem["first_failure_path"] == cw_path
+    counted = {key: n for key, n in topograph.items() if key.endswith("_failures") and n}
+    assert topograph["frames"] == 2**10 - 1
+    assert counted == {"label_failures": 1, "mobius_failures": 1, "frame_failures": 1}
+    assert topograph["first_failure_path"] == label_path
+    assert err.splitlines() == [
+        f"theorem verification failed; first failure at path {cw_path!r}",
+        f"topograph verification failed; first failure at path {label_path!r}",
+    ]
+
+
 @pytest.mark.parametrize(
     "run",
     [
         lambda: sum(1 for _ in walk("matrix", 16)),
         lambda: verify_theorem(14),
         lambda: verify_topograph_proof(14),
+        lambda: sweep.sweep(VERIFIERS, 14, 1),
     ],
-    ids=["walk-matrix-16", "verify_theorem-14", "verify_topograph_proof-14"],
+    ids=["walk-matrix-16", "verify_theorem-14", "verify_topograph_proof-14", "both-14"],
 )
 def test_sweeps_hold_o_depth_memory(run):
     tracemalloc.start()

@@ -72,9 +72,17 @@ CATALOGUE = [
     Mutant(
         "tally-first-found",
         "src/mediant/_sweep.py",
-        "first = earliest_failure([first, path + trees.index_to_path(len(oks) - 1 + n)])",
-        "first = first or path + trees.index_to_path(len(oks) - 1 + n)",
+        "counts[-1] = earliest_failure([counts[-1], found])",
+        "counts[-1] = counts[-1] or found",
         ("tests/test_sweep.py::test_tally_does_not_depend_on_the_row_width",),
+    ),
+    Mutant(
+        "tally-first-shared-by-the-checks",
+        "src/mediant/_sweep.py",
+        "                    counts[-1] = earliest_failure([counts[-1], found])",
+        "                    for *_, every in groups:\n"
+        "                        every[-1] = earliest_failure([every[-1], found])",
+        ("tests/test_sweep.py::test_joint_sweep_keeps_each_checks_own_first_failure",),
     ),
     Mutant(
         "tally-path-off-by-one",
@@ -100,8 +108,8 @@ CATALOGUE = [
     Mutant(
         "tally-counts-once",
         "src/mediant/_sweep.py",
-        "failures[i] += not ok",
-        "failures[i] |= not ok",
+        "counts[i] += not ok",
+        "counts[i] |= not ok",
         ("tests/test_sweep.py::test_first_failure_is_the_bfs_earliest_within_a_span",),
     ),
     Mutant(

@@ -7,8 +7,6 @@ Structured output is JSON on stdout; diagnostics go to stderr.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import re
@@ -16,14 +14,15 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, islice, product, tee
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from ._sweep import sweep
 from .rational import ExtendedRational, _farey, _int_digit_limit, _parse_int
-from .shadows import _THEOREM, TheoremReport
 from .stern import _newman, fusc
-from .topograph import _FLOW, TopographReport
 from .trees import _breadth_first, best_approximation, bfs_index, cw_locate, sb_locate
+
+if TYPE_CHECKING:  # argparse, json and the verifiers load only where a command uses them
+    import argparse
 
 __all__ = ["RenderConfig", "build_parser", "main", "parse_target", "render"]
 
@@ -178,11 +177,16 @@ def _printable(n: int, what: str) -> int:
     return n
 
 
+def _print_json(value, **options) -> None:
+    import json  # loaded by the commands that print JSON only
+    print(json.dumps(value, **options))
+
+
 def _cmd_locate(args: argparse.Namespace) -> int:
     value = ExtendedRational.parse(args.value)
     path = cw_locate(value) if args.tree == "cw" else sb_locate(value)
     index = _printable(bfs_index(path), f"path of {len(path)} steps has a BFS index")
-    print(json.dumps({"path": path, "bfs_index": index}))
+    _print_json({"path": path, "bfs_index": index})
     return 0
 
 
@@ -199,9 +203,11 @@ def _cmd_fusc(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_depth_cap(args.depth, args.max_depth_cap)
+    from .shadows import _THEOREM, TheoremReport  # after the cap: a refused depth loads neither
+    from .topograph import _FLOW, TopographReport
     verifiers = [(TheoremReport, _THEOREM), (TopographReport, _FLOW)]  # one walk, one pool
     reports = dict(zip(("theorem", "topograph"), sweep(verifiers, args.depth, args.jobs)))
-    print(json.dumps({name: report.as_dict() for name, report in reports.items()}, indent=2))
+    _print_json({name: report.as_dict() for name, report in reports.items()}, indent=2)
     failed = [(name, report) for name, report in reports.items() if not report.ok]
     for name, report in failed:
         print(
@@ -220,7 +226,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     for name, q in (("best", best), ("error", error)):
         _printable(q.num, f"{name} has a numerator")
         _printable(q.den, f"{name} has a denominator")
-    print(json.dumps({"best": str(best), "error": str(error)}))
+    _print_json({"best": str(best), "error": str(error)})
     return 0
 
 
@@ -241,6 +247,7 @@ def _add_cap(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="mediant",
         description="Exact rational trees: enumerate, locate, verify, approximate.",

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -375,6 +376,69 @@ def test_import_leaves_the_process_pool_modules_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_leaves_the_verifiers_json_and_argparse_unloaded():
+    # against the same process before the import, since site may load some of them
+    code = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import mediant, mediant.cli\n"
+        "print(sorted(set(sys.modules) - bare))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(ast.literal_eval(proc.stdout))
+    assert {"mediant.rational", "mediant.matrices", "mediant.stern", "mediant.trees"} <= added
+    assert not {"mediant.shadows", "mediant.topograph", "json", "argparse"} & added
+
+
+_COMMAND_IN_A_PROCESS = """
+import contextlib, io, sys
+from mediant.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(sys.argv[1:])
+loaded = sorted({"mediant.shadows", "mediant.topograph"} & set(sys.modules))
+print(repr((code, loaded, out.getvalue(), err.getvalue())))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "fusc 0",
+        "tree --kind cw --depth 3 --format json",
+        "stern --count 5",
+        "farey --max-den 3",
+        "verify --depth 25",
+        "verify --depth 2",
+    ],
+)
+def test_only_verify_loads_the_verifiers(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMAND_IN_A_PROCESS, *argv.split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, out, err = ast.literal_eval(proc.stdout)
+    if argv == "verify --depth 25":  # refused before either verifier loads
+        assert (code, out) == (2, "") and err.startswith("error: depth 25 exceeds")
+    if argv != "verify --depth 2":
+        assert loaded == []
+        return
+    assert (code, err, loaded) == (0, "", ["mediant.shadows", "mediant.topograph"])
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    for report in doc.values():
+        assert report.pop("elapsed_s") >= 0
+    assert [(name, list(report.items())) for name, report in doc.items()] == [
+        ("theorem", [("depth", 2), ("nodes", 7), ("cw_failures", 0), ("farey_failures", 0)]),
+        ("topograph", [("depth", 2), ("frames", 7), ("conjugation_failures", 0),
+                       ("label_failures", 0), ("mobius_failures", 0), ("frame_failures", 0)]),
+    ]
 
 
 _VERIFY_IN_A_PROCESS = """

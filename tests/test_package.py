@@ -46,6 +46,36 @@ def test_imports_raise_no_warning():
     assert proc.stderr == ""
 
 
+def test_lazy_names_are_listed_and_unknown_names_raise_the_standard_error():
+    assert set(mediant.__all__) <= set(dir(mediant))
+    with pytest.raises(AttributeError, match=r"^module 'mediant' has no attribute 'nosuch'$"):
+        mediant.nosuch
+
+
+_LAZY_IN_A_FRESH_PROCESS = """
+import pickle, sys
+import mediant
+assert not {"mediant.cli", "mediant.shadows", "mediant.topograph"} & set(sys.modules)
+report = mediant.verify_theorem(3)
+assert report.ok and pickle.loads(pickle.dumps(report)) == report
+assert mediant.main is mediant.cli.main is sys.modules["mediant.cli"].main
+assert mediant.topograph is sys.modules["mediant.topograph"]
+names = {}
+exec("from mediant import *", names)
+assert all(names[name] is getattr(mediant, name) for name in mediant.__all__)
+print(len(mediant.__all__))
+"""
+
+
+def test_lazy_names_resolve_in_a_process_that_only_imported_the_package():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IN_A_FRESH_PROCESS], capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{len(mediant.__all__)}\n"
+
+
 _ER = mediant.ExtendedRational
 
 # one instance of each immutable public type; Mat2 as a member and as a frame

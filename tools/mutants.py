@@ -230,6 +230,21 @@ CATALOGUE = [
         "equivalent: on unimodular neighbours a < c with b > d forces a = d = 0,"
         " so the upper bound is 1/0 and both keys pick the same side",
     ),
+    # what importing the package and the CLI loads
+    Mutant(
+        "cli-imports-a-verifier-eagerly",
+        "src/mediant/cli.py",
+        "from ._sweep import sweep\n",
+        "from ._sweep import sweep\nfrom .shadows import _THEOREM\n",
+        ("tests/test_cli.py::test_import_leaves_the_verifiers_json_and_argparse_unloaded",),
+    ),
+    Mutant(
+        "lazy-table-drops-a-name",
+        "src/mediant/__init__.py",
+        '"verify_topograph_proof", "vertex_matrix")',
+        '"verify_topograph_proof")',
+        ("tests/test_package.py::test_package_all_is_the_union_of_the_module_lists",),
+    ),
     # the chunked writers of the bulk commands
     Mutant(
         "text-level-keeps-its-space",

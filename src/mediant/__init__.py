@@ -13,21 +13,20 @@ from . import matrices, rational, stern, trees
 
 __version__ = "0.1.0"
 
-# The verifiers and the CLI load on first use (PEP 562), each name by its module.
+# The verifiers load on first use (PEP 562), each name by its module.
 _LAZY = {name: module for module, names in (
     ("shadows", ("TheoremReport", "cw_shadow", "cw_shadow_mobius", "farey_shadow",
                  "farey_shadow_mobius", "verify_theorem")),
     ("topograph", ("OrientedVertex", "TopographReport", "Vertex", "conjugate_shadow",
                    "farey_label", "forward_tree", "neighbors", "triples_containing",
                    "verify_topograph_proof", "vertex_matrix")),
-    ("cli", ("main",)),  # main is not in __all__
 ) for name in names}
 
 # Built before the star imports below: the one from .stern rebinds the name
 # stern from the module to the function.
 __all__ = sorted(
     {name for module in (matrices, rational, stern, trees) for name in module.__all__}
-    | _LAZY.keys() - {"main"}
+    | _LAZY.keys()
 ) + ["__version__"]
 
 from .matrices import *  # noqa: E402,F401,F403

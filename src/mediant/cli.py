@@ -7,6 +7,7 @@ Structured output is JSON on stdout; diagnostics go to stderr.
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import re
@@ -14,15 +15,12 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, islice, product, tee
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._sweep import sweep
 from .rational import ExtendedRational, _farey, _int_digit_limit, _parse_int
 from .stern import _newman, fusc
 from .trees import _breadth_first, best_approximation, bfs_index, cw_locate, sb_locate
-
-if TYPE_CHECKING:  # argparse, json and the verifiers load only where a command uses them
-    import argparse
 
 __all__ = ["RenderConfig", "build_parser", "main", "parse_target", "render"]
 
@@ -247,7 +245,6 @@ def _add_cap(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    import argparse
     parser = argparse.ArgumentParser(
         prog="mediant",
         description="Exact rational trees: enumerate, locate, verify, approximate.",

@@ -236,7 +236,7 @@ CATALOGUE = [
         "src/mediant/cli.py",
         "from ._sweep import sweep\n",
         "from ._sweep import sweep\nfrom .shadows import _THEOREM\n",
-        ("tests/test_cli.py::test_import_leaves_the_verifiers_json_and_argparse_unloaded",),
+        ("tests/test_cli.py::test_import_leaves_the_verifiers_and_json_unloaded",),
     ),
     Mutant(
         "lazy-table-drops-a-name",

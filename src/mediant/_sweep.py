@@ -24,11 +24,14 @@ class SweepReport:
     sweep call.  That order is the key order of as_dict.
     """
 
+    @classmethod
+    def counters(cls) -> list[str]:
+        """The *_failures field names, in order: one per flag of the report's check."""
+        return [f.name for f in fields(cls) if f.name.endswith("_failures")]
+
     @property
     def ok(self) -> bool:
-        return all(
-            getattr(self, f.name) == 0 for f in fields(self) if f.name.endswith("_failures")
-        )
+        return all(getattr(self, name) == 0 for name in self.counters())
 
     def as_dict(self) -> dict[str, Any]:
         """The fields in declaration order; first_failure_path only when set."""
@@ -38,24 +41,21 @@ class SweepReport:
         return out
 
 
-def sweep(verifiers: Sequence[tuple[Callable[..., R], tuple]], depth: int, jobs: int) -> list[R]:
-    """One walk to `depth` for all the (report, declaration) pairs, each tree
-    any check reads grown once, folded into one report per pair: (depth,
-    visits, the sums of its `width` failure counters, its own BFS-earliest
-    failing path, elapsed seconds: the walk's, the same in every report)."""
+def sweep(declarations: Sequence[tuple[type[R], Any, Any]], depth: int, jobs: int) -> list[R]:
+    """One walk to `depth` for all the declarations, each tree any check reads
+    grown once, folded into one report per declaration: (depth, visits, the
+    sums of its failure counters, its own BFS-earliest failing path, elapsed
+    seconds: the walk's, the same in every report)."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     start = time.perf_counter()
-    columns = list(zip(*run_spans(partial(tally, tuple(d for _, d in verifiers)), depth, jobs)))
-    elapsed, at, reports = time.perf_counter() - start, 1, []
-    for report, (_, _, width) in verifiers:
-        counters = map(sum, columns[at:at + width])
-        first = earliest_failure(columns[at + width])
-        reports.append(report(depth, sum(columns[0]), *counters, first, elapsed))
-        at += width + 1
-    return reports
+    columns = iter(zip(*run_spans(partial(tally, tuple(declarations)), depth, jobs)))
+    elapsed, visits = time.perf_counter() - start, sum(next(columns))
+    return [report(depth, visits, *[sum(next(columns)) for _ in report.counters()],
+                   earliest_failure(next(columns)), elapsed)
+            for report, _, _ in declarations]
 
 
 def spans(depth: int, jobs: int) -> list[tuple[str, int]]:
@@ -92,17 +92,17 @@ def run_spans(span_fn: Callable[[str, int], T], depth: int, jobs: int) -> list[T
 
 
 def tally(declarations: tuple[tuple, ...], prefix: str, depth: int) -> tuple:
-    """The span engine.  A declaration is (check, kinds, width): `check` takes
-    one state per tree kind named in `kinds` and returns `width` ok flags.
+    """The span engine.  A declaration is (report, check, kinds): `check` takes
+    a state per tree in `kinds` and returns an ok flag per `report.counters()`.
     Each tree any declaration names is grown once, by trees._rows, over one
     subtree span, and every check is mapped over each row.  Only a row with
     a failure is gone through node by node, and only a failing node gets a
     path.  Returns what `sweep` folds: visits, then per declaration its
     failure counts and its own BFS-earliest failing path or None."""
-    kinds = list(dict.fromkeys(chain.from_iterable(d[1] for d in declarations)))
+    kinds = list(dict.fromkeys(chain.from_iterable(own for _, _, own in declarations)))
     roots, rules = zip(*(trees._start(kind, depth, prefix) for kind in kinds))
-    groups = [(check, [kinds.index(kind) for kind in own], (True,) * width, [0] * width + [None])
-              for check, own, width in declarations]
+    groups = [(check, [kinds.index(kind) for kind in own], (True,) * len(report.counters()),
+               [0] * len(report.counters()) + [None]) for report, check, own in declarations]
     visits = 0
     for path, rows in trees._rows(roots, rules, depth, prefix, trees._ROW):
         visits += len(rows[0])

@@ -201,10 +201,9 @@ def _cmd_fusc(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_depth_cap(args.depth, args.max_depth_cap)
-    from .shadows import _THEOREM, TheoremReport  # after the cap: a refused depth loads neither
-    from .topograph import _FLOW, TopographReport
-    verifiers = [(TheoremReport, _THEOREM), (TopographReport, _FLOW)]  # one walk, one pool
-    reports = dict(zip(("theorem", "topograph"), sweep(verifiers, args.depth, args.jobs)))
+    from .shadows import _THEOREM  # after the cap: a refused depth loads neither
+    from .topograph import _FLOW
+    reports = dict(zip(("theorem", "topograph"), sweep([_THEOREM, _FLOW], args.depth, args.jobs)))
     _print_json({name: report.as_dict() for name, report in reports.items()}, indent=2)
     failed = [(name, report) for name, report in reports.items() if not report.ok]
     for name, report in failed:

@@ -5,9 +5,9 @@ Moebius-action form.  They agree algebraically, but both are kept so tests can
 cross-assert two independent transcriptions instead of one definition.  The
 entry formulas are raw-int cores (_cw_core, _farey_core) under thin
 ExtendedRational wrappers.  _checks, the cores against the tree engine's values,
-is a declaration (_THEOREM) of the span engine _sweep.tally, run at every path
-to a depth: alone by verify_theorem, on one walk with the topograph checks by
-`mediant verify`.  Raw pairs compare first, then cross-multiply; 0/0 fails.
+runs at every path to a depth, by verify_theorem or with the topograph checks by
+`mediant verify`; _THEOREM names it, its report (one *_failures field per flag)
+and its trees.  Raw pairs compare first, then cross-multiply; 0/0 fails.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def _checks(entries, cw, sb) -> tuple[bool, bool]:
             and (r != 0 or s != 0) and (med_num != 0 or med_den != 0))
 
 
-# the declaration _sweep.tally runs: (check, the trees it reads, its flag count)
-_THEOREM = (_checks, ("matrix", "calkin-wilf", "stern-brocot"), 2)
+# the _sweep.tally declaration: (report, check, trees read); a flag per *_failures field
+_THEOREM = (TheoremReport, _checks, ("matrix", "calkin-wilf", "stern-brocot"))
 _check_span = partial(tally, (_THEOREM,))
 
 
@@ -100,4 +100,4 @@ def verify_theorem(depth: int, jobs: int = 1) -> TheoremReport:
     Pairs compare raw first, cross-multiplied only when unequal, 0/0 failing:
     ExtendedRational equality, building none.  jobs > 1 shards by subtree.
     """
-    return sweep([(TheoremReport, _THEOREM)], depth, jobs)[0]
+    return sweep([_THEOREM], depth, jobs)[0]

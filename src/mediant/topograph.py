@@ -7,9 +7,9 @@ exactly two triples (its mediant and its difference), so directing the edge
 everywhere, and the forward flow unfolds into a binary tree of oriented
 frames.  Conjugating each frame's Moebius matrix reproduces the matrix tree,
 and verify_topograph_proof checks that correspondence exhaustively, on the
-raw-int cores under farey_label, vertex_matrix and conjugate_shadow: _checks is
-a _sweep.tally declaration (_FLOW), which `mediant verify` runs on one walk
-with the theorem's.  Raw pairs compare first, then cross-multiply; 0/0 fails.
+raw-int cores under farey_label, vertex_matrix and conjugate_shadow: _FLOW names
+its report (a *_failures field per flag), _checks and trees, for one walk with
+the theorem's.  Raw pairs compare first, then cross-multiply; 0/0 fails.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def _checks(bounds, node) -> tuple[bool, bool, bool, bool]:
                  and abs(num * hi_den - den * hi_num) == 1))
 
 
-_FLOW = (_checks, ("stern-brocot", "matrix"), 4)  # a _sweep.tally declaration
+_FLOW = (TopographReport, _checks, ("stern-brocot", "matrix"))  # a _sweep.tally declaration
 _check_span = partial(tally, (_FLOW,))
 
 
@@ -226,4 +226,4 @@ def verify_topograph_proof(depth: int, jobs: int = 1) -> TopographReport:
     level beside the flow, so they never depend on the flow being checked.
     _checks runs on raw tree states: no ExtendedRational or Mat2 per frame.
     """
-    return sweep([(TopographReport, _FLOW)], depth, jobs)[0]
+    return sweep([_FLOW], depth, jobs)[0]

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import json
 import os
 import pickle
@@ -15,8 +14,8 @@ import mediant.topograph
 import mediant.trees
 from mediant.cli import main
 from mediant.matrices import from_path
-from mediant.shadows import TheoremReport, verify_theorem
-from mediant.topograph import TopographReport, verify_topograph_proof
+from mediant.shadows import verify_theorem
+from mediant.topograph import verify_topograph_proof
 from mediant.trees import walk
 
 
@@ -165,17 +164,18 @@ def test_first_failure_is_the_bfs_earliest_across_spans(monkeypatch, fake_pool):
 
 
 # what `mediant verify` sweeps: both declarations on one walk
-VERIFIERS = [(TheoremReport, mediant.shadows._THEOREM), (TopographReport, mediant.topograph._FLOW)]
+VERIFIERS = [mediant.shadows._THEOREM, mediant.topograph._FLOW]
 
 
-@pytest.mark.parametrize("report,declaration", VERIFIERS)
-def test_a_declaration_has_one_flag_per_counter_of_its_report(report, declaration):
-    # sweep slices the span tuple by each declaration's width and hands the
-    # slice to its report, so a wrong width would give counters to the wrong report
-    _, kinds, width = declaration
-    counters = [f.name for f in dataclasses.fields(report) if f.name.endswith("_failures")]
-    assert width == len(counters)
+@pytest.mark.parametrize("declaration", VERIFIERS, ids=lambda d: d[0].__name__)
+def test_a_declaration_has_one_flag_per_counter_of_its_report(declaration):
+    # tally counts one failure per flag of the check and sweep hands a report
+    # one column per counter, so a flag more or less would give counters to
+    # the wrong report; the fast path wants a tuple of True on a clean row
+    report, check, kinds = declaration
     assert set(kinds) <= set(mediant.trees._TREE_RULES)
+    flags = check(*(mediant.trees._TREE_RULES[kind][0] for kind in kinds))
+    assert flags == (True,) * len(report.counters())
 
 
 def _count_rule_calls(monkeypatch):

@@ -113,6 +113,13 @@ CATALOGUE = [
         ("tests/test_sweep.py::test_first_failure_is_the_bfs_earliest_within_a_span",),
     ),
     Mutant(
+        "ok-reads-one-counter",
+        "src/mediant/_sweep.py",
+        "for name in self.counters())",
+        "for name in self.counters()[:1])",
+        ("tests/test_sweep.py::test_joint_sweep_keeps_each_checks_own_first_failure",),
+    ),
+    Mutant(
         "spans-overlap-at-split",
         "src/mediant/_sweep.py",
         'return [("", split - 1)]',
@@ -186,6 +193,13 @@ CATALOGUE = [
          "test_checks_match_the_formulation_before_inlining_on_every_small_frame",),
     ),
     # the CLI and the library around the sweeps
+    Mutant(
+        "verify-declarations-swapped",
+        "src/mediant/cli.py",
+        "sweep([_THEOREM, _FLOW]",
+        "sweep([_FLOW, _THEOREM]",
+        ("tests/test_cli.py::test_verify_clean",),
+    ),
     Mutant(
         "number-sign-accepts-plus",
         "src/mediant/cli.py",

@@ -17,6 +17,7 @@ from itertools import chain, islice, product, tee
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
+from . import trees
 from ._sweep import sweep
 from .rational import ExtendedRational, _farey, _int_digit_limit, _parse_int
 from .stern import _newman, fusc
@@ -79,18 +80,18 @@ class RenderConfig:
 
 def _chunks(template: str, parts: Iterable, head: str = "", cut: int = 0) -> Iterator[str]:
     """template % row for each row of the parts' values, chained, one % per
-    chunk of up to 256 rows; a row is as many values as template has "%s".
-    The first chunk's first `cut` characters become `head`."""
+    chunk of up to trees._ROW rows; a row is as many values as template has
+    "%s".  The first chunk's first `cut` characters become `head`."""
     width, values = template.count("%s"), chain.from_iterable(parts)
-    while chunk := tuple(islice(values, 256 * width)):
+    while chunk := tuple(islice(values, trees._ROW * width)):
         yield head + (template * (len(chunk) // width) % chunk)[cut:]
         head, cut = "", 0
 
 
 def _render_pieces(config: RenderConfig) -> Iterator[str]:
-    """render(config) in chunks of up to 256 nodes, each one % of a template
-    over the raw states of a _breadth_first chunk (a topograph frame is a
-    Stern-Brocot state), in O(depth) memory.  No ExtendedRational, Mat2 or
+    """render(config) in chunks of up to trees._ROW nodes, each one % of a
+    template over the raw states of a _breadth_first chunk (a topograph frame
+    is a Stern-Brocot state), in O(depth) memory.  No ExtendedRational, Mat2 or
     OrientedVertex is built."""
     tree_kind, label, fields, label_columns, field_columns = _RENDER_KINDS[config.kind]
     levels = _breadth_first(tree_kind, config.depth)
@@ -131,8 +132,8 @@ def render(config: RenderConfig) -> str:
 
 
 def _write(chunks: Iterable[str]) -> int:
-    """Every bulk command's writer: each chunk of up to 256 rows goes to stdout
-    as it is made, so few syscalls are made even when stdout is unbuffered."""
+    """Every bulk command's writer: each chunk (up to trees._ROW rows) goes to
+    stdout as made, so few syscalls are made even when stdout is unbuffered."""
     sys.stdout.writelines(chunks)
     sys.stdout.flush()  # a reader that left shows here, not in the flush at exit
     return 0

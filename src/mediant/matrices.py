@@ -91,14 +91,11 @@ class Mat2:
     c: int
     d: int
 
-    def __init__(self, a: int, b: int, c: int, d: int):
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "Mat2":
         _check_entries(a, b, c, d)
         if a * d - b * c != 1:
             raise ValueError(f"not a monoid member: determinant {a * d - b * c}")
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_c(self, c)
-        _set_d(self, d)
+        return _trusted(a, b, c, d)
 
     def __reduce__(self):
         # a determinant -1 frame rebuilds through Mat2.frame, not the member constructor

@@ -88,7 +88,7 @@ def _checks(entries, cw, sb) -> tuple[bool, bool]:
 
 # the _sweep.tally declaration: (report, check, trees read); a flag per *_failures field
 _THEOREM = (TheoremReport, _checks, ("matrix", "calkin-wilf", "stern-brocot"))
-_check_span = partial(tally, (_THEOREM,))
+_check_span = partial(tally, (_THEOREM,))  # perfbench/layers.py times it by name
 
 
 def verify_theorem(depth: int, jobs: int = 1) -> TheoremReport:

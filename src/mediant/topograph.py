@@ -15,10 +15,9 @@ the theorem's.  Raw pairs compare first, then cross-multiply; 0/0 fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator, Optional
 
-from ._sweep import SweepReport, sweep, tally
+from ._sweep import SweepReport, sweep
 # from_path and sb_node are not called here; they stay module attributes
 # because perfbench/layers.py times calls through mediant.topograph by name.
 from .matrices import Mat2, Path, _mobius_core, from_path
@@ -212,7 +211,6 @@ def _checks(bounds, node) -> tuple[bool, bool, bool, bool]:
 
 
 _FLOW = (TopographReport, _checks, ("stern-brocot", "matrix"))  # a _sweep.tally declaration
-_check_span = partial(tally, (_FLOW,))
 
 
 def verify_topograph_proof(depth: int, jobs: int = 1) -> TopographReport:

@@ -267,7 +267,9 @@ def walk(kind: str, depth: int, prefix: Path = "") -> Iterator[tuple[Path, Any]]
     return ((path, rows[0][0]) for path, rows in _rows((root,), (rule,), depth, prefix, 1))
 
 
-_ROW = 128  # the most states the sweeps' _rows puts in one row of one tree
+# The engine's one row size: the most states of one tree held in one list under
+# one node, by the sweeps' rows, the level order's chunks and the CLI's batches.
+_ROW = 256
 
 
 def _rows(roots, rules, depth: int, prefix: Path, width: int) -> Iterator[tuple[Path, list]]:
@@ -292,23 +294,21 @@ def _rows(roots, rules, depth: int, prefix: Path, width: int) -> Iterator[tuple[
             yield path, rows
 
 
-_SPAN = 8  # the most levels a level order chunk grows below its parent
-
-
 def _breadth_first(kind: str, depth: int) -> list[Iterator[tuple[Path, list, list]]]:
     """walk's states level by level, levels 0..depth: level L as chunks
-    (path, suffixes, states), left to right, states[i] at path + suffixes[i].
-    Arguments are checked here, eagerly."""
+    (path, suffixes, states) of at most _ROW states, left to right, states[i]
+    at path + suffixes[i].  Arguments are checked here, eagerly."""
     root, rule = _start(kind, depth, "")
-    suffixes = [list(map("".join, product("LR", repeat=k))) for k in range(min(depth, _SPAN) + 1)]
+    span = min(depth, _ROW.bit_length() - 1)
+    suffixes = [list(map("".join, product("LR", repeat=k))) for k in range(span + 1)]
     return [_level(root, rule, suffixes, level) for level in range(depth + 1)]
 
 
 def _level(root, rule, suffixes, level: int) -> Iterator[tuple[Path, list, list]]:
-    # A chunk is the row k = min(level, _SPAN) levels below one node of level
-    # level - k, grown as _rows grows a row; those nodes come from this same
-    # engine, so O(level / _SPAN) chunks are alive at once.
-    k = min(level, _SPAN)
+    # A chunk is the row k = min(level, len(suffixes) - 1) levels below one node
+    # of level level - k, grown as _rows grows a row; those nodes come from this
+    # same engine, so O(level / k) chunks are alive at once.
+    k = min(level, len(suffixes) - 1)
     parents = _pairs(_level(root, rule, suffixes, level - k)) if k < level else [("", root)]
     for path, state in parents:
         row = [state]
@@ -329,7 +329,7 @@ def level_iter(kind: str, depth: int) -> Iterator[TreeNode]:
 
     `kind` is one of "calkin-wilf", "stern-brocot" or "matrix"; the matrix
     tree yields Mat2 values.  The levels are grown by the kind's own child
-    rule, the one walk uses, in chunks of at most 2^_SPAN nodes.
+    rule, the one walk uses, in chunks of at most _ROW nodes.
     """
     states = _pairs(*_breadth_first(kind, depth))
     value_of = _TREE_RULES[kind][2]

@@ -13,6 +13,7 @@ import importlib
 import io
 import random
 import re
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -81,16 +82,18 @@ def test_bench_calls_keep_their_shapes():
     parts = [m.shadows._check_span(prefix, span_depth) for prefix, span_depth in spans]
     assert sum(part[0] for part in parts) == 2 ** (depth + 1) - 1
     # the span tuple layers.py times: visits, one count per *_failures field
-    # of the report, then the first failing path or None
+    # of the report, then the first failing path or None; the flow's span
+    # function is built as sweep builds it
     visits = 2 ** (depth - 1) - 1  # the subtree under "LR"
-    for module, report in ((m.shadows, m.TheoremReport), (m.topograph, m.TopographReport)):
+    flow_span = partial(m._sweep.tally, (m.topograph._FLOW,))
+    for span, report in ((m.shadows._check_span, m.TheoremReport), (flow_span, m.TopographReport)):
         counters = [f.name for f in dataclasses.fields(report) if f.name.endswith("_failures")]
-        assert module._check_span("LR", depth) == (visits, *[0] * len(counters), None)
+        assert span("LR", depth) == (visits, *[0] * len(counters), None)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(m.shadows, "_cw_core", lambda *entries: (0, 0))
         patch.setattr(m.topograph, "_label_core", lambda *bounds: (0, 0))
         assert m.shadows._check_span("LR", depth) == (visits, visits, 0, "LR")
-        assert m.topograph._check_span("LR", depth) == (visits, 0, visits, visits, visits, "LR")
+        assert flow_span("LR", depth) == (visits, 0, visits, visits, visits, "LR")
 
     nodes = list(m.level_iter("matrix", depth))
     assert nodes[-1].path == "R" * depth and nodes[-1].value == m.from_path("R" * depth)

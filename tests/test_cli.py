@@ -360,10 +360,11 @@ def test_render_matches_the_public_objects(kind, fmt, depth):
 @pytest.mark.parametrize("kind", ["cw", "sb", "matrix", "topograph"])
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
 def test_render_does_not_depend_on_the_span(monkeypatch, span, kind, fmt):
-    # a level's chunks grow _SPAN levels below nodes that are themselves grown
-    # from chunks: at span 1 to 3, depth 7 takes up to six such hops, which at
-    # the default span 8 only levels 17 and up take
-    monkeypatch.setattr("mediant.trees._SPAN", span)
+    # a level's chunks grow `span` levels below nodes that are themselves grown
+    # from chunks: at rows of 2 to 8 states, depth 7 takes up to six such hops,
+    # which at the default 256 (8 levels) only levels 17 and up take; _chunks
+    # then writes 2 to 8 rows per %
+    monkeypatch.setattr("mediant.trees._ROW", 2**span)
     expected = _render_from_public_objects(kind, 7, fmt)
     assert render(RenderConfig(kind=kind, depth=7, format=fmt)) == expected
 

@@ -4,6 +4,7 @@ import os
 import pickle
 import tracemalloc
 from collections import Counter
+from functools import partial
 from itertools import product
 
 import pytest
@@ -89,10 +90,18 @@ def test_spans_partition_every_path(depth):
         assert walked == every, (depth, jobs)
 
 
-@pytest.mark.parametrize("module,width", [(mediant.shadows, 2), (mediant.topograph, 4)])
-def test_span_functions_survive_pickling(module, width):
-    # run_spans hands the span function to a process pool, which pickles it
-    span = module._check_span
+@pytest.mark.parametrize(
+    "span,width",
+    [
+        pytest.param(mediant.shadows._check_span, 2, id="mediant.shadows-2"),
+        pytest.param(
+            partial(sweep.tally, (mediant.topograph._FLOW,)), 4, id="mediant.topograph-4"
+        ),
+    ],
+)
+def test_span_functions_survive_pickling(span, width):
+    # run_spans hands the span function to a process pool, which pickles it;
+    # the benchmark times shadows' own, and the flow's is built as sweep builds it
     clone = pickle.loads(pickle.dumps(span))
     assert clone("LR", 4) == span("LR", 4) == (2**3 - 1, *[0] * width, None)
 
@@ -133,14 +142,15 @@ def test_first_failure_is_the_bfs_earliest_within_a_span(monkeypatch):
     assert topograph.first_failure_path == "R"
 
 
-@pytest.mark.parametrize("row", [1, 2, mediant.trees._ROW])
+@pytest.mark.parametrize("row", [1, 2, 128, mediant.trees._ROW])
 @pytest.mark.parametrize(
     "paths,first",
     [(FAILING, "R"), (("RRLLRRLLR", "LRRLLRRLR"), "LRRLLRRLR")],
     ids=["preorder-differs", "in-split-rows"],
 )
 def test_tally_does_not_depend_on_the_row_width(monkeypatch, row, paths, first):
-    # width 1 is walk's preorder; at the default width depth 9 splits rows too
+    # width 1 is walk's preorder; depth 9 splits rows at levels 8 and 9 at
+    # width 128, and at level 9 at the default width
     monkeypatch.setattr(mediant.trees, "_ROW", row)
     _fail_at(monkeypatch, paths)
     theorem = verify_theorem(9)
@@ -210,7 +220,7 @@ def test_verify_grows_each_tree_once_with_one_pool(monkeypatch, fake_pool, capsy
     assert reports["theorem"]["elapsed_s"] == reports["topograph"]["elapsed_s"]
 
 
-@pytest.mark.parametrize("row,jobs", [(1, 1), (2, 1), (mediant.trees._ROW, 1), (1, 2)])
+@pytest.mark.parametrize("row,jobs", [(1, 1), (2, 1), (128, 1), (mediant.trees._ROW, 1), (1, 2)])
 @pytest.mark.parametrize("cw_path,label_path", [FAILING, FAILING[::-1]])
 def test_joint_sweep_keeps_each_checks_own_first_failure(
     monkeypatch, fake_pool, capsys, row, jobs, cw_path, label_path

@@ -156,7 +156,7 @@ def test_forward_tree_is_walk_stably_sorted_by_level_at_depth_12():
 
 @pytest.mark.parametrize("span", [1, 2, 3])
 def test_forward_tree_does_not_depend_on_the_span(monkeypatch, span):
-    monkeypatch.setattr("mediant.trees._SPAN", span)
+    monkeypatch.setattr("mediant.trees._ROW", 2**span)
     by_level = sorted(walk("stern-brocot", 7), key=lambda item: len(item[0]))
     expected = [
         OrientedVertex(er(ln, ld), er(hn, hd), er(ln + hn, ld + hd), path)

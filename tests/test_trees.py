@@ -15,6 +15,7 @@ from mediant.stern import fusc
 from mediant.trees import (
     MAX_LOCATE_STEPS,
     _ROW,
+    _breadth_first,
     _rows,
     _start,
     best_approximation,
@@ -407,7 +408,7 @@ def test_walk_is_depth_first_preorder(kind):
     assert [path for path, _ in walk(kind, 2, "R")] == ["R", "RL", "RR"]
 
 
-@pytest.mark.parametrize("width", [1, 2, 4, _ROW])
+@pytest.mark.parametrize("width", [1, 2, 4, 128, _ROW])
 @pytest.mark.parametrize("prefix", ["", "L", "RL"])
 def test_rows_partition_every_path_under_the_prefix(width, prefix):
     # node i of a row of 2^j states sits at path + the j-step word of rank i
@@ -485,12 +486,26 @@ def test_level_iter_is_walk_stably_sorted_by_level_at_depth_12(kind):
 @pytest.mark.parametrize("span", [1, 2, 3])
 @pytest.mark.parametrize("kind", KINDS)
 def test_level_iter_does_not_depend_on_the_span(monkeypatch, span, kind):
-    # at span 1 to 3, depth 7 grows chunks below nodes that are themselves grown
-    # from chunks, up to six hops deep
-    monkeypatch.setattr("mediant.trees._SPAN", span)
+    # at rows of 2 to 8 states, depth 7 grows chunks `span` levels below nodes
+    # that are themselves grown from chunks, up to six hops deep
+    monkeypatch.setattr("mediant.trees._ROW", 2**span)
     by_level = sorted(walk(kind, 7), key=lambda item: len(item[0]))
     expected = [(path, _node_value(kind, state)) for path, state in by_level]
     assert [(node.path, node.value) for node in level_iter(kind, 7)] == expected
+
+
+@pytest.mark.parametrize("row", [2, 4, 8, _ROW])
+@pytest.mark.parametrize("kind", KINDS)
+def test_level_order_chunks_are_rows_of_at_most_row_states(monkeypatch, row, kind):
+    # a level of fewer than _ROW states is one chunk; from level
+    # _ROW.bit_length() - 1 on, every chunk is one full row of _ROW states,
+    # also at levels grown below nodes that are themselves grown from chunks
+    monkeypatch.setattr("mediant.trees._ROW", row)
+    height = row.bit_length() - 1
+    for level, chunks in enumerate(_breadth_first(kind, 2 * height + 1)):
+        chunk = row if level >= height else 2**level
+        sizes = [(len(suffixes), len(states)) for _, suffixes, states in chunks]
+        assert sizes == [(chunk, chunk)] * (2**level // chunk), level
 
 
 @pytest.mark.parametrize("kind", KINDS)

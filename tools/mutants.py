@@ -60,6 +60,13 @@ CATALOGUE = [
         ("tests/test_trees.py::test_level_iter_is_walk_stably_sorted_by_level",),
     ),
     Mutant(
+        "level-order-chunk-narrower",
+        "src/mediant/trees.py",
+        "_ROW.bit_length() - 1",
+        "_ROW.bit_length() - 2",
+        ("tests/test_trees.py::test_level_order_chunks_are_rows_of_at_most_row_states",),
+    ),
+    Mutant(
         "cw-children-swapped",
         "src/mediant/trees.py",
         "return (a, a + b), (a + b, b)",
@@ -234,6 +241,13 @@ CATALOGUE = [
         "if depth > cap:",
         "if depth >= cap:",
         ("tests/test_cli.py::test_depth_cap",),
+    ),
+    Mutant(
+        "mat2-admits-frames",
+        "src/mediant/matrices.py",
+        "if a * d - b * c != 1:",
+        "if a * d - b * c not in (1, -1):",
+        ("tests/test_matrices.py::test_member_constructor_validation",),
     ),
     Mutant(
         "approx-tie-key-numerator-first",

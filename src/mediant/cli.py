@@ -47,8 +47,8 @@ _RENDER_KINDS = {
 }
 _FORMATS = ("text", "json", "dot")
 
-# 2^21 - 1 nodes.  Output streams a chunk at a time in O(depth) memory, so this
-# bounds run time, not memory.  Raise per run with --max-depth-cap.
+# 2^21 - 1 nodes.  Output streams a chunk at a time in O(depth * trees._ROW)
+# memory, so this bounds run time, not memory.  Raise per run with --max-depth-cap.
 DEFAULT_DEPTH_CAP = 20
 
 
@@ -91,8 +91,8 @@ def _chunks(template: str, parts: Iterable, head: str = "", cut: int = 0) -> Ite
 def _render_pieces(config: RenderConfig) -> Iterator[str]:
     """render(config) in chunks of up to trees._ROW nodes, each one % of a
     template over the raw states of a _breadth_first chunk (a topograph frame
-    is a Stern-Brocot state), in O(depth) memory.  No ExtendedRational, Mat2 or
-    OrientedVertex is built."""
+    is a Stern-Brocot state), in O(depth * trees._ROW) memory.  No
+    ExtendedRational, Mat2 or OrientedVertex is built."""
     tree_kind, label, fields, label_columns, field_columns = _RENDER_KINDS[config.kind]
     levels = _breadth_first(tree_kind, config.depth)
 

@@ -108,9 +108,9 @@ def forward_tree(depth: int) -> Iterator[OrientedVertex]:
     Root frame (left 0/1, right 1/0, forward 1/1).  The left child keeps the
     left label and advances across the edge {left, forward}; the right child
     keeps the right label.  That is the Stern-Brocot bounds descent, so the
-    frames are trees.walk("stern-brocot") states, grown level by level by the
-    same child rule (trees._breadth_first).  Yields 2^(depth+1) - 1 frames
-    for levels 0..depth.
+    frames are trees.walk("stern-brocot") states, read level by level off
+    walk's own row loop (trees._breadth_first) in O(depth * trees._ROW)
+    memory.  Yields 2^(depth+1) - 1 frames for levels 0..depth.
     """
     return (_frame(path, state) for path, state in _pairs(*_breadth_first("stern-brocot", depth)))
 

@@ -273,13 +273,13 @@ _ROW = 256
 
 
 def _rows(roots, rules, depth: int, prefix: Path, width: int) -> Iterator[tuple[Path, list]]:
-    """The one depth-first loop: yield (path, rows), rows[k] the states of
-    the tree grown from roots[k] by rules[k] at one level under `path`, left
-    to right, for levels |prefix|..depth; each level is one map of the rule
-    over the row above.  A row that would grow past `width` is split into
-    halves under path + "L" and path + "R", the R half stacked, so memory is
-    O(depth * width).  Node i of a row of 2^j states is at path + i's j bits,
-    L for 0."""
+    """The one loop that applies the child rules, depth first: yield (path,
+    rows), rows[k] the states of the tree grown from roots[k] by rules[k] at
+    one level under `path`, left to right, for levels |prefix|..depth; each
+    level is one map of the rule over the row above.  A row that would grow
+    past `width` is split into halves under path + "L" and path + "R", the R
+    half stacked, so memory is O(depth * width).  Node i of a row of 2^j
+    states is at path + i's j bits, L for 0."""
     stack = [(prefix, len(prefix), [[root] for root in roots])]
     while stack:
         path, level, rows = stack.pop()
@@ -297,7 +297,8 @@ def _rows(roots, rules, depth: int, prefix: Path, width: int) -> Iterator[tuple[
 def _breadth_first(kind: str, depth: int) -> list[Iterator[tuple[Path, list, list]]]:
     """walk's states level by level, levels 0..depth: level L as chunks
     (path, suffixes, states) of at most _ROW states, left to right, states[i]
-    at path + suffixes[i].  Arguments are checked here, eagerly."""
+    at path + suffixes[i]: the rows _rows grows to depth L that end at level
+    L, so O(L * _ROW) states.  Arguments are checked here, eagerly."""
     root, rule = _start(kind, depth, "")
     span = min(depth, _ROW.bit_length() - 1)
     suffixes = [list(map("".join, product("LR", repeat=k))) for k in range(span + 1)]
@@ -305,16 +306,11 @@ def _breadth_first(kind: str, depth: int) -> list[Iterator[tuple[Path, list, lis
 
 
 def _level(root, rule, suffixes, level: int) -> Iterator[tuple[Path, list, list]]:
-    # A chunk is the row k = min(level, len(suffixes) - 1) levels below one node
-    # of level level - k, grown as _rows grows a row; those nodes come from this
-    # same engine, so O(level / k) chunks are alive at once.
-    k = min(level, len(suffixes) - 1)
-    parents = _pairs(_level(root, rule, suffixes, level - k)) if k < level else [("", root)]
-    for path, state in parents:
-        row = [state]
-        for _ in range(k):
-            row = list(chain.from_iterable(map(rule, row)))
-        yield path, suffixes[k], row
+    # a row of 2^k states under `path` ends at level len(path) + k
+    for path, (row,) in _rows((root,), (rule,), level, "", _ROW):
+        k = len(row).bit_length() - 1
+        if len(path) + k == level:
+            yield path, suffixes[k], row
 
 
 def _pairs(*levels) -> Iterator[tuple[Path, Any]]:
@@ -328,8 +324,8 @@ def level_iter(kind: str, depth: int) -> Iterator[TreeNode]:
     exactly 2^(depth+1) - 1 nodes.
 
     `kind` is one of "calkin-wilf", "stern-brocot" or "matrix"; the matrix
-    tree yields Mat2 values.  The levels are grown by the kind's own child
-    rule, the one walk uses, in chunks of at most _ROW nodes.
+    tree yields Mat2 values.  The levels are walk's rows (_rows, by the kind's
+    own child rule), in chunks of at most _ROW nodes and O(depth * _ROW) memory.
     """
     states = _pairs(*_breadth_first(kind, depth))
     value_of = _TREE_RULES[kind][2]

@@ -1,4 +1,9 @@
-"""Reference predicates that tests compare the sweeps' inlined checks against."""
+"""Reference predicates that tests compare the sweeps' inlined checks against,
+and a counter of the child-rule calls that grow the trees."""
+
+from collections import Counter
+
+import mediant.trees
 
 
 def _raw_equal(p: int, q: int, r: int, s: int) -> bool:
@@ -6,3 +11,18 @@ def _raw_equal(p: int, q: int, r: int, s: int) -> bool:
     gcd: cross-multiplication p*s == q*r.  A raw 0/0 cross-multiplies equal to
     everything, so 0/0 on either side is unequal to all, 0/0 included."""
     return p * s == q * r and (p != 0 or q != 0) and (r != 0 or s != 0)
+
+
+def _count_rule_calls(monkeypatch):
+    """Wrap each tree's child rule (read at call time) with a call counter."""
+    calls = Counter()
+
+    def counted(kind, rule):
+        def children(state):
+            calls[kind] += 1
+            return rule(state)
+        return children
+
+    for kind, (root, rule, value) in list(mediant.trees._TREE_RULES.items()):
+        monkeypatch.setitem(mediant.trees._TREE_RULES, kind, (root, counted(kind, rule), value))
+    return calls

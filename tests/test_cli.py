@@ -17,6 +17,7 @@ from mediant.rational import ExtendedRational, farey_sequence
 from mediant.stern import stern
 from mediant.matrices import from_path
 from mediant.trees import best_approximation, cw_value, index_to_path, sb_node
+from oracles import _count_rule_calls
 
 
 def run_cli(*argv):
@@ -360,13 +361,22 @@ def test_render_matches_the_public_objects(kind, fmt, depth):
 @pytest.mark.parametrize("kind", ["cw", "sb", "matrix", "topograph"])
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
 def test_render_does_not_depend_on_the_span(monkeypatch, span, kind, fmt):
-    # a level's chunks grow `span` levels below nodes that are themselves grown
-    # from chunks: at rows of 2 to 8 states, depth 7 takes up to six such hops,
-    # which at the default 256 (8 levels) only levels 17 and up take; _chunks
+    # at rows of 2 to 8 states, levels `span` + 1 to 7 come in rows that
+    # _rows split off, as at the default 256 only levels 9 and up do; _chunks
     # then writes 2 to 8 rows per %
     monkeypatch.setattr("mediant.trees._ROW", 2**span)
     expected = _render_from_public_objects(kind, 7, fmt)
     assert render(RenderConfig(kind=kind, depth=7, format=fmt)) == expected
+
+
+@pytest.mark.parametrize(
+    "kind,fmt", [("cw", "text"), ("sb", "json"), ("matrix", "dot"), ("topograph", "json")]
+)
+def test_render_grows_each_level_once_from_the_root(monkeypatch, kind, fmt):
+    # one tree grown as level_iter grows it: 2^(depth+1) - depth - 2 rule calls
+    calls = _count_rule_calls(monkeypatch)
+    render(RenderConfig(kind=kind, depth=12, format=fmt))
+    assert list(calls.values()) == [2**13 - 12 - 2]
 
 
 def test_import_leaves_the_process_pool_modules_unloaded():

@@ -18,6 +18,7 @@ from mediant.matrices import from_path
 from mediant.shadows import verify_theorem
 from mediant.topograph import verify_topograph_proof
 from mediant.trees import walk
+from oracles import _count_rule_calls
 
 
 def _span_nodes(prefix, depth):
@@ -186,21 +187,6 @@ def test_a_declaration_has_one_flag_per_counter_of_its_report(declaration):
     assert set(kinds) <= set(mediant.trees._TREE_RULES)
     flags = check(*(mediant.trees._TREE_RULES[kind][0] for kind in kinds))
     assert flags == (True,) * len(report.counters())
-
-
-def _count_rule_calls(monkeypatch):
-    """Wrap each tree's child rule (read at call time) with a call counter."""
-    calls = Counter()
-
-    def counted(kind, rule):
-        def children(state):
-            calls[kind] += 1
-            return rule(state)
-        return children
-
-    for kind, (root, rule, value) in list(mediant.trees._TREE_RULES.items()):
-        monkeypatch.setitem(mediant.trees._TREE_RULES, kind, (root, counted(kind, rule), value))
-    return calls
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -30,6 +30,7 @@ from mediant.trees import (
     sb_row,
     walk,
 )
+from oracles import _count_rule_calls
 
 
 def er(num, den=1):
@@ -486,26 +487,38 @@ def test_level_iter_is_walk_stably_sorted_by_level_at_depth_12(kind):
 @pytest.mark.parametrize("span", [1, 2, 3])
 @pytest.mark.parametrize("kind", KINDS)
 def test_level_iter_does_not_depend_on_the_span(monkeypatch, span, kind):
-    # at rows of 2 to 8 states, depth 7 grows chunks `span` levels below nodes
-    # that are themselves grown from chunks, up to six hops deep
+    # at rows of 2 to 8 states, levels `span` + 1 to 7 come in rows that
+    # _rows split off, as at the default 256 only levels 9 and up do
     monkeypatch.setattr("mediant.trees._ROW", 2**span)
     by_level = sorted(walk(kind, 7), key=lambda item: len(item[0]))
     expected = [(path, _node_value(kind, state)) for path, state in by_level]
     assert [(node.path, node.value) for node in level_iter(kind, 7)] == expected
 
 
-@pytest.mark.parametrize("row", [2, 4, 8, _ROW])
+@pytest.mark.parametrize("row", [1, 2, 4, 8, _ROW])
 @pytest.mark.parametrize("kind", KINDS)
 def test_level_order_chunks_are_rows_of_at_most_row_states(monkeypatch, row, kind):
     # a level of fewer than _ROW states is one chunk; from level
     # _ROW.bit_length() - 1 on, every chunk is one full row of _ROW states,
-    # also at levels grown below nodes that are themselves grown from chunks
+    # to twice that depth; at _ROW = 1 every chunk is one state
     monkeypatch.setattr("mediant.trees._ROW", row)
     height = row.bit_length() - 1
     for level, chunks in enumerate(_breadth_first(kind, 2 * height + 1)):
         chunk = row if level >= height else 2**level
         sizes = [(len(suffixes), len(states)) for _, suffixes, states in chunks]
         assert sizes == [(chunk, chunk)] * (2**level // chunk), level
+
+
+@pytest.mark.parametrize("row", [8, _ROW])
+@pytest.mark.parametrize("kind", KINDS)
+def test_level_iter_grows_each_level_once_from_the_root(monkeypatch, row, kind):
+    # level L costs one rule call per internal node of the tree of depth L, so
+    # levels 0..12 cost the sum of 2^L - 1: 2^13 - 12 - 2 calls; at rows of 8
+    # states, levels 4 to 12 come in rows that _rows split off
+    monkeypatch.setattr("mediant.trees._ROW", row)
+    calls = _count_rule_calls(monkeypatch)
+    assert sum(1 for _ in level_iter(kind, 12)) == 2**13 - 1
+    assert calls == {kind: 2**13 - 12 - 2}
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -62,9 +62,16 @@ CATALOGUE = [
     Mutant(
         "level-order-chunk-narrower",
         "src/mediant/trees.py",
-        "_ROW.bit_length() - 1",
-        "_ROW.bit_length() - 2",
+        'level, "", _ROW)',
+        'level, "", _ROW // 2)',
         ("tests/test_trees.py::test_level_order_chunks_are_rows_of_at_most_row_states",),
+    ),
+    Mutant(
+        "level-order-keeps-upper-rows",
+        "src/mediant/trees.py",
+        "len(path) + k == level",
+        "len(path) + k <= level",
+        ("tests/test_trees.py::test_level_iter_is_walk_stably_sorted_by_level",),
     ),
     Mutant(
         "cw-children-swapped",

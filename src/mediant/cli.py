@@ -2,13 +2,13 @@
 and best approximation.
 
 Exit codes: 0 success, 1 counterexample found, 2 usage error, 141 stdout closed early.
-Structured output is JSON on stdout; diagnostics go to stderr.
+Structured output is JSON on stdout; diagnostics go to stderr.  A number too long
+for Python to read or print exits 2 before any output (rational's two guards).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import trees
 from ._sweep import sweep
-from .rational import ExtendedRational, _farey, _int_digit_limit, _parse_int
+from .rational import ExtendedRational, _farey, _parse_int, _printable
 from .stern import _newman, fusc
 from .trees import _breadth_first, best_approximation, bfs_index, cw_locate, sb_locate
 
@@ -139,7 +139,7 @@ def _write(chunks: Iterable[str]) -> int:
     return 0
 
 
-_NUMBER_RE = re.compile(r"(-?)(\d+)(?:\.(\d+))?\Z")
+_NUMBER_RE = re.compile(r"(-?)(\d+)(?:\.(\d+)|/(\d+))?\Z")
 
 
 def parse_target(text: str) -> ExtendedRational:
@@ -149,31 +149,16 @@ def parse_target(text: str) -> ExtendedRational:
     text = text.strip()
     number = _NUMBER_RE.match(text)
     if number is None:
-        return ExtendedRational.parse(text)
-    sign, whole, frac = number.groups("")
-    num = _parse_int(whole + frac)
-    return ExtendedRational(-num if sign else num, 10 ** len(frac))
+        raise ValueError(f"not a fraction, integer or decimal: {text!r}")
+    sign, whole, frac, over = number.groups("")
+    num = _parse_int(whole + frac)  # at most one of frac and over is there
+    den = _parse_int(over) if over else 10 ** len(frac)
+    return ExtendedRational(-num if sign else num, den)
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     config = RenderConfig(args.kind, args.depth, args.format, args.max_depth_cap)
     return _write(chain(_render_pieces(config), ["\n"]))
-
-
-def _printable(n: int, what: str) -> int:
-    """n >= 0, or a ValueError naming its digit count if Python will not print it."""
-    limit = _int_digit_limit()
-    if limit and n.bit_length() > 3 * limit:  # 2^(3k) < 10^k: fewer bits always print
-        # The float log is off by far less than 1e-6; compare exactly only near 10^k.
-        log = math.log10(n)
-        near = round(log)
-        digits = near + (n >= 10**near) if abs(log - near) < 1e-6 else math.floor(log) + 1
-        if digits > limit:
-            raise ValueError(
-                f"{what} of {digits} digits, more than the {limit} digits Python prints"
-                " (sys.get_int_max_str_digits)"
-            )
-    return n
 
 
 def _print_json(value, **options) -> None:

@@ -1,4 +1,6 @@
-"""Exact extended rationals: reduced fractions over big integers, plus infinity."""
+"""Exact extended rationals: reduced fractions over big integers, plus infinity,
+and exact guards on both sides of Python's int/str digit limit: _parse_int
+refuses digit strings too long to read, _printable integers too long to print."""
 
 from __future__ import annotations
 
@@ -120,6 +122,18 @@ def _parse_int(digits: str) -> int:
             " (sys.get_int_max_str_digits)"
         )
     return int(digits)
+
+
+def _printable(n: int, what: str) -> int:
+    """n >= 0, or a ValueError naming its size in bits (free to count) if Python
+    will not print it, which is exactly when n >= 10^limit."""
+    limit = _int_digit_limit()
+    if limit and n >= 10**limit:
+        raise ValueError(
+            f"{what} of {n.bit_length()} bits, more than the {limit} digits Python prints"
+            " (sys.get_int_max_str_digits)"
+        )
+    return n
 
 
 def compare(x: ExtendedRational, y: ExtendedRational) -> int:

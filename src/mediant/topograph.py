@@ -23,7 +23,7 @@ from ._sweep import SweepReport, sweep
 from .matrices import Mat2, Path, _mobius_core, from_path
 from .rational import ExtendedRational, is_z_distinct
 from .shadows import _farey_core
-from .trees import _breadth_first, _pairs, sb_node
+from .trees import _breadth_first, _pairs, _sb_rationals, sb_node
 
 __all__ = [
     "OrientedVertex",
@@ -112,18 +112,8 @@ def forward_tree(depth: int) -> Iterator[OrientedVertex]:
     walk's own row loop (trees._breadth_first) in O(depth * trees._ROW)
     memory.  Yields 2^(depth+1) - 1 frames for levels 0..depth.
     """
-    return (_frame(path, state) for path, state in _pairs(*_breadth_first("stern-brocot", depth)))
-
-
-def _frame(path: Path, state: tuple[int, int, int, int]) -> OrientedVertex:
-    """The frame of a Stern-Brocot walk state: its bounds and their raw sum."""
-    lo_num, lo_den, hi_num, hi_den = state
-    return OrientedVertex(
-        ExtendedRational(lo_num, lo_den),
-        ExtendedRational(hi_num, hi_den),
-        ExtendedRational(lo_num + hi_num, lo_den + hi_den),
-        path,
-    )
+    states = _pairs(*_breadth_first("stern-brocot", depth))
+    return (OrientedVertex(*_sb_rationals(*state), path) for path, state in states)
 
 
 # The raw-int cores under farey_label, vertex_matrix and conjugate_shadow; a

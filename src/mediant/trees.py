@@ -137,7 +137,13 @@ def sb_node(path: Path) -> SBNode:
             hi_num, hi_den = lo_num + hi_num, lo_den + hi_den
         else:
             lo_num, lo_den = lo_num + hi_num, lo_den + hi_den
-    return SBNode(
+    return SBNode(*_sb_rationals(lo_num, lo_den, hi_num, hi_den))
+
+
+def _sb_rationals(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> tuple:
+    """A Stern-Brocot state's bounds and their raw sum as ExtendedRationals: its
+    SBNode's lo, hi and value, and its topograph frame's left, right and forward."""
+    return (
         ExtendedRational(lo_num, lo_den),
         ExtendedRational(hi_num, hi_den),
         ExtendedRational(lo_num + hi_num, lo_den + hi_den),

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -10,12 +11,14 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import mediant.shadows
-from mediant.cli import RenderConfig, _printable, main, parse_target, render
-from mediant.rational import ExtendedRational, farey_sequence
+from mediant.cli import RenderConfig, build_parser, main, parse_target, render
+from mediant.rational import ExtendedRational, _printable, farey_sequence
 from mediant.stern import stern
-from mediant.matrices import from_path
+from mediant.matrices import MAX_LOCATE_STEPS, from_path
 from mediant.trees import best_approximation, cw_value, index_to_path, sb_node
 from oracles import _count_rule_calls
 
@@ -127,6 +130,13 @@ def test_locate_rejects_bad_values(value):
 def test_locate_names_the_text_it_cannot_parse():
     code, out, err = run_cli("locate", "--tree", "cw", "1/-2")
     assert (code, out, err) == (2, "", "error: not a fraction: '1/-2'\n")
+
+
+@pytest.mark.parametrize("target", ["1e5", "-.5", "1.5/2", "+1", "1/-2"])
+def test_approx_names_the_forms_it_reads(target):
+    code, out, err = run_cli("approx", "--target", target, "--max-den", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: not a fraction, integer or decimal: {target!r}\n"
 
 
 def test_stern_sequence():
@@ -276,7 +286,9 @@ def test_parse_target():
     assert parse_target("-2") == ExtendedRational(-2, 1)
     assert parse_target("007") == ExtendedRational(7, 1)
     assert parse_target("-0") == ExtendedRational(0, 1)
-    for bad in (".5", "3.", "1e3", "nan", "+1", "1.2.3", "--1", "-"):
+    assert parse_target("-3/6") == ExtendedRational(-1, 2)
+    assert parse_target("0/5") == ExtendedRational(0, 1)
+    for bad in (".5", "3.", "1e3", "nan", "+1", "1.2.3", "--1", "-", "+1/2", "1/+2", "1/-2"):
         with pytest.raises(ValueError):
             parse_target(bad)
 
@@ -587,6 +599,7 @@ def test_module_entry_point():
     [
         ("sb", "100000000000000000000/1", 10**20 - 1),  # over the locate step cap
         ("sb", "10000000/1", 10**7 - 1),  # BFS index too long to print
+        ("sb", "49515945697079/60191150942143", 9999003),  # BFS index next to a power of ten
         ("cw", "20000/1", 19999),
     ],
 )
@@ -625,33 +638,123 @@ def _digit_limit():
 
 
 _UNPRINTABLE = re.compile(
-    r"(.*) of (\d+) digits, more than the (\d+) digits Python prints"
+    r"(.*) of (\d+) bits, more than the (\d+) digits Python prints"
     r" \(sys\.get_int_max_str_digits\)"
 )
 
 
-def test_printable_names_the_exact_digit_count():
+def test_printable_names_the_exact_bit_length():
     limit = _digit_limit()
     assert _printable(10**limit - 1, "n") == 10**limit - 1
     near_powers = (10**limit, 10**limit + 1, 10 ** (2 * limit) - 1, 10 ** (2 * limit))
     for n in (*near_powers, 2 ** (10 * limit)):
         with pytest.raises(ValueError) as exc:
             _printable(n, "n")
-        what, digits, most = _UNPRINTABLE.fullmatch(str(exc.value)).groups()
+        what, bits, most = _UNPRINTABLE.fullmatch(str(exc.value)).groups()
         assert what == "n" and int(most) == limit
-        assert 10 ** (int(digits) - 1) <= n < 10 ** int(digits)
+        assert 2 ** (int(bits) - 1) <= n < 2 ** int(bits)
 
 
-def test_approx_refuses_an_unprintable_error_by_its_digit_count():
+def test_approx_refuses_an_unprintable_error_by_its_bit_length():
     # the input passes the digit check, but the error's denominator outgrows it
     limit = _digit_limit()
     target = "9" * limit + "/" + "7" * (limit - 1) + "1"
     code, out, err = run_cli("approx", "--target", target, "--max-den", "1000")
     assert code == 2 and out == ""
     assert "Exceeds the limit" not in err
-    what, digits, _ = _UNPRINTABLE.fullmatch(err.strip().removeprefix("error: ")).groups()
+    what, bits, _ = _UNPRINTABLE.fullmatch(err.strip().removeprefix("error: ")).groups()
     q = parse_target(target)
     best = best_approximation(q.num, q.den, 1000)
     error = ExtendedRational(abs(q.num * best.den - best.num * q.den), q.den * best.den)
     n = {"error has a numerator": error.num, "error has a denominator": error.den}[what]
-    assert 10 ** (int(digits) - 1) <= n < 10 ** int(digits)
+    assert 2 ** (int(bits) - 1) <= n < 2 ** int(bits)
+
+
+# The CLI contract, over argv drawn from the parser's own subcommands and
+# choices.  Values come from adversarial pools: Fibonacci ratios (long paths of
+# single steps), numbers of 4,299-4,301 digits and decimals at the digit limit,
+# paths near MAX_LOCATE_STEPS, and depths at and past small --max-depth-cap
+# values.  Bulk output stays small, and --jobs never starts a process pool.
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _fibonacci_ratios(*ks):
+    a, b, ratios = 1, 1, []
+    for k in range(1, max(ks) + 1):
+        a, b = b, a + b
+        if k in ks:
+            ratios.append(f"{b}/{a}")
+    return ratios  # F(20001)/F(20000) is 4,180 over 4,180 digits
+
+
+_AT_THE_LIMIT = ["9" * (_LIMIT - 1), "1" + "0" * (_LIMIT - 1), "9" * _LIMIT, "1" * (_LIMIT + 1)]
+_FRACTIONS = [
+    *_fibonacci_ratios(1, 10, 100, 1000, 3001, 20000),
+    *(f"{n}/1" for n in _AT_THE_LIMIT),
+    *(f"1/{n}" for n in _AT_THE_LIMIT),
+    *(f"{MAX_LOCATE_STEPS + d}/1" for d in (-1, 0, 1, 2)),
+    f"1/{MAX_LOCATE_STEPS}",
+    "49515945697079/60191150942143",  # 9,999,003 steps, a BFS index just over 10^3010000
+    "100000000000000000000/1",
+    "1/1", "355/113", "0/1", "1/0", "-1/2", "1/-2", "abc", "1e5", "-.5",
+]
+_DECIMALS = ["0." + "3" * (_LIMIT - 1), "-1." + "4" * (_LIMIT - 1), "0." + "3" * _LIMIT, "2.5"]
+_DEPTHS = st.integers(-1, 8).map(str) | st.sampled_from(["21", str(10**6), "1" * (_LIMIT + 1)])
+_POOLS = {
+    ("tree", "depth"): _DEPTHS,
+    ("tree", "max_depth_cap"): st.integers(-1, 8).map(str),
+    ("topograph", "depth"): _DEPTHS,
+    ("topograph", "max_depth_cap"): st.integers(-1, 8).map(str),
+    ("verify", "depth"): _DEPTHS,
+    ("verify", "max_depth_cap"): st.integers(-1, 8).map(str),
+    ("verify", "jobs"): st.sampled_from(["-1", "0", "1"]),
+    ("locate", "value"): st.sampled_from(_FRACTIONS),
+    ("approx", "target"): st.sampled_from(_FRACTIONS + _AT_THE_LIMIT + _DECIMALS),
+    ("approx", "max_den"): (
+        st.integers(-1, 10**6).map(str) | st.sampled_from([str(10**4200), "1" * (_LIMIT + 1)])
+    ),
+    ("farey", "max_den"): st.integers(-1, 200).map(str),
+    ("stern", "count"): st.integers(-2, 2000).map(str) | st.just("1" * (_LIMIT + 1)),
+    ("fusc", "n"): (
+        st.integers(-2, 10**6).map(str)
+        | st.sampled_from([str(2**14000 - 1), *_AT_THE_LIMIT, str(-(10**20))])
+    ),
+}
+(_SUBCOMMANDS,) = (
+    action.choices
+    for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand, each of its options present or not, and a value for each
+    present option and positional: one of its choices, or one from its pool."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    options, positionals = [command], []
+    for action in _SUBCOMMANDS[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.option_strings and not action.required and not draw(st.booleans()):
+            continue
+        pool = st.sampled_from(action.choices) if action.choices else _POOLS[command, action.dest]
+        word = draw(pool)
+        if action.option_strings:
+            options += [action.option_strings[0], word]
+        else:
+            positionals.append(word)
+    return options + ["--", *positionals] if positionals else options
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argv())
+def test_every_command_exits_0_1_or_2_in_time_and_explains_a_refusal(argv):
+    _digit_limit()  # without a limit, a 4,301-digit --count would be accepted
+    start = time.perf_counter()
+    code, _, err = run_cli(*argv)  # an exception escaping main fails here
+    assert time.perf_counter() - start < 3.0
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert code != 2 or "error:" in err
+    event(f"{argv[0]} exits {code}")  # shown by --hypothesis-show-statistics

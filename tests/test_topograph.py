@@ -13,7 +13,6 @@ from mediant.rational import ExtendedRational
 from mediant.topograph import (
     OrientedVertex,
     _conjugate_core,
-    _frame,
     _label_core,
     _vertex_core,
     Vertex,
@@ -220,9 +219,10 @@ def test_conjugation_is_functorial():
 
 def test_wrappers_are_their_cores():
     # the sweep checks the cores; the public maps must be exactly the cores' output
+    frames = {f.path: f for f in forward_tree(10)}
     flow = zip(walk("stern-brocot", 10), walk("matrix", 10))
     for (path, bounds), (_, entries) in flow:
-        v = _frame(path, bounds)
+        v = frames[path]
         m = vertex_matrix(v)
         assert farey_label(v) == ExtendedRational(*_label_core(*bounds)) == v.forward
         assert m == Mat2.frame(*_vertex_core(*bounds))
@@ -273,7 +273,7 @@ def test_frame_is_an_oriented_vertex(path):
     built = OrientedVertex(
         er(lo_num, lo_den), er(hi_num, hi_den), er(lo_num + hi_num, lo_den + hi_den), path
     )
-    frame = _frame(path, state)
+    frame = next(f for f in forward_tree(len(path)) if f.path == path)
     assert type(frame) is OrientedVertex
     assert frame == built and hash(frame) == hash(built)
     assert str(frame) == str(built) and repr(frame) == repr(built)

@@ -217,9 +217,16 @@ CATALOGUE = [
     Mutant(
         "number-sign-accepts-plus",
         "src/mediant/cli.py",
-        '_NUMBER_RE = re.compile(r"(-?)',
-        '_NUMBER_RE = re.compile(r"([-+]?)',
+        r'_NUMBER_RE = re.compile(r"(-?)(\d+)(?:\.(\d+)|/(\d+))?\Z")',
+        r'_NUMBER_RE = re.compile(r"([-+]?)(\d+)(?:\.(\d+)|/(\d+))?\Z")',
         ("tests/test_cli.py::test_parse_target",),
+    ),
+    Mutant(
+        "print-guard-admits-the-limit",
+        "src/mediant/rational.py",
+        "if limit and n >= 10**limit:",
+        "if limit and n > 10**limit:",
+        ("tests/test_cli.py::test_printable_names_the_exact_bit_length",),
     ),
     Mutant(
         "parse-int-counts-the-sign",
@@ -255,6 +262,16 @@ CATALOGUE = [
         "if a * d - b * c != 1:",
         "if a * d - b * c not in (1, -1):",
         ("tests/test_matrices.py::test_member_constructor_validation",),
+    ),
+    Mutant(
+        "sb-rationals-bounds-swapped",
+        "src/mediant/trees.py",
+        "ExtendedRational(lo_num, lo_den),\n        ExtendedRational(hi_num, hi_den),",
+        "ExtendedRational(hi_num, hi_den),\n        ExtendedRational(lo_num, lo_den),",
+        (
+            "tests/test_topograph.py::test_forward_tree_root",
+            "tests/test_trees.py::test_walk_states_match_the_direct_constructions",
+        ),
     ),
     Mutant(
         "approx-tie-key-numerator-first",

@@ -47,8 +47,8 @@ _RENDER_KINDS = {
 }
 _FORMATS = ("text", "json", "dot")
 
-# 2^21 - 1 nodes.  Output streams a chunk at a time in O(depth * trees._ROW)
-# memory, so this bounds run time, not memory.  Raise per run with --max-depth-cap.
+# 2^21 - 1 nodes.  Output streams a chunk at a time in O(depth * trees._ROW) memory,
+# from the first byte at any depth, so this bounds run time only.  Raise with --max-depth-cap.
 DEFAULT_DEPTH_CAP = 20
 
 
@@ -91,16 +91,15 @@ def _chunks(template: str, parts: Iterable, head: str = "", cut: int = 0) -> Ite
 def _render_pieces(config: RenderConfig) -> Iterator[str]:
     """render(config) in chunks of up to trees._ROW nodes, each one % of a
     template over the raw states of a _breadth_first chunk (a topograph frame
-    is a Stern-Brocot state), in O(depth * trees._ROW) memory.  No
-    ExtendedRational, Mat2 or OrientedVertex is built."""
+    is a Stern-Brocot state), in O(depth * trees._ROW) memory, a level made when
+    output reaches it.  No ExtendedRational, Mat2 or OrientedVertex is built."""
     tree_kind, label, fields, label_columns, field_columns = _RENDER_KINDS[config.kind]
     levels = _breadth_first(tree_kind, config.depth)
 
     def values(levels, columns_of, path=True):  # the rows of each chunk, flat
-        for parent, suffixes, states in chain.from_iterable(levels):
+        for paths, states in chain.from_iterable(levels):
             columns = zip(*states) if columns_of is None else columns_of(*zip(*states))
-            rows = zip(map(parent.__add__, suffixes), *columns) if path else zip(*columns)
-            yield chain.from_iterable(rows)
+            yield chain.from_iterable(zip(paths, *columns) if path else zip(*columns))
 
     if config.format == "text":  # a level per line: its first chunk cuts its leading " "
         for level, chunks in enumerate(levels):

@@ -109,10 +109,10 @@ def forward_tree(depth: int) -> Iterator[OrientedVertex]:
     left label and advances across the edge {left, forward}; the right child
     keeps the right label.  That is the Stern-Brocot bounds descent, so the
     frames are trees.walk("stern-brocot") states, read level by level off
-    walk's own row loop (trees._breadth_first) in O(depth * trees._ROW)
-    memory.  Yields 2^(depth+1) - 1 frames for levels 0..depth.
+    walk's own row loop (trees._breadth_first), each level made when reached,
+    in O(depth * trees._ROW) memory.  Yields 2^(depth+1) - 1 frames.
     """
-    states = _pairs(*_breadth_first("stern-brocot", depth))
+    states = _pairs(_breadth_first("stern-brocot", depth))
     return (OrientedVertex(*_sb_rationals(*state), path) for path, state in states)
 
 

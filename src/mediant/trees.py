@@ -10,7 +10,7 @@ exactly once, which is what makes locate well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, product, starmap
 from typing import Any, Iterator, Union
 
 from .matrices import MAX_LOCATE_STEPS, Mat2, Path, _runs, _spell, validate_path
@@ -300,29 +300,29 @@ def _rows(roots, rules, depth: int, prefix: Path, width: int) -> Iterator[tuple[
             yield path, rows
 
 
-def _breadth_first(kind: str, depth: int) -> list[Iterator[tuple[Path, list, list]]]:
-    """walk's states level by level, levels 0..depth: level L as chunks
-    (path, suffixes, states) of at most _ROW states, left to right, states[i]
-    at path + suffixes[i]: the rows _rows grows to depth L that end at level
-    L, so O(L * _ROW) states.  Arguments are checked here, eagerly."""
+def _breadth_first(kind: str, depth: int) -> Iterator[Iterator[tuple[Iterator[Path], list]]]:
+    """walk's states level by level, levels 0..depth, each made when a reader
+    reaches it: level L as chunks (paths, states) of at most _ROW states, left
+    to right, the rows _rows grows to depth L that end at level L, so O(L * _ROW)
+    states.  Arguments are checked here, eagerly."""
     root, rule = _start(kind, depth, "")
     span = min(depth, _ROW.bit_length() - 1)
     suffixes = [list(map("".join, product("LR", repeat=k))) for k in range(span + 1)]
-    return [_level(root, rule, suffixes, level) for level in range(depth + 1)]
+    return (_level(root, rule, suffixes, level) for level in range(depth + 1))
 
 
-def _level(root, rule, suffixes, level: int) -> Iterator[tuple[Path, list, list]]:
-    # a row of 2^k states under `path` ends at level len(path) + k
+def _level(root, rule, suffixes, level: int) -> Iterator[tuple[Iterator[Path], list]]:
+    # a row of 2^k states under `path` ends at level len(path) + k; its state
+    # i sits at path + suffixes[k][i]
     for path, (row,) in _rows((root,), (rule,), level, "", _ROW):
         k = len(row).bit_length() - 1
         if len(path) + k == level:
-            yield path, suffixes[k], row
+            yield map(path.__add__, suffixes[k]), row
 
 
-def _pairs(*levels) -> Iterator[tuple[Path, Any]]:
-    """The (path, state) pairs of the chunks of `levels`, in order."""
-    chunks = chain.from_iterable(levels)
-    return chain.from_iterable(zip(map(p.__add__, s), states) for p, s, states in chunks)
+def _pairs(levels) -> Iterator[tuple[Path, Any]]:
+    """The (path, state) pairs of the chunks of `levels`, in order, read as they come."""
+    return chain.from_iterable(starmap(zip, chain.from_iterable(levels)))
 
 
 def level_iter(kind: str, depth: int) -> Iterator[TreeNode]:
@@ -330,9 +330,9 @@ def level_iter(kind: str, depth: int) -> Iterator[TreeNode]:
     exactly 2^(depth+1) - 1 nodes.
 
     `kind` is one of "calkin-wilf", "stern-brocot" or "matrix"; the matrix
-    tree yields Mat2 values.  The levels are walk's rows (_rows, by the kind's
-    own child rule), in chunks of at most _ROW nodes and O(depth * _ROW) memory.
+    tree yields Mat2 values.  Each level is walk's rows (_rows, by the kind's
+    own child rule), made when reached, in _ROW-node chunks and O(depth * _ROW) memory.
     """
-    states = _pairs(*_breadth_first(kind, depth))
+    states = _pairs(_breadth_first(kind, depth))
     value_of = _TREE_RULES[kind][2]
     return (TreeNode(path, value_of(state)) for path, state in states)

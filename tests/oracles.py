@@ -1,9 +1,12 @@
 """Reference predicates that tests compare the sweeps' inlined checks against,
-and a counter of the child-rule calls that grow the trees."""
+a counter of the child-rule calls that grow the trees, and a brute-force
+best approximation."""
 
 from collections import Counter
+from fractions import Fraction
 
 import mediant.trees
+from mediant.rational import ExtendedRational
 
 
 def _raw_equal(p: int, q: int, r: int, s: int) -> bool:
@@ -26,3 +29,15 @@ def _count_rule_calls(monkeypatch):
     for kind, (root, rule, value) in list(mediant.trees._TREE_RULES.items()):
         monkeypatch.setitem(mediant.trees._TREE_RULES, kind, (root, counted(kind, rule), value))
     return calls
+
+
+def brute_best(num: int, den: int, max_den: int) -> ExtendedRational:
+    """The best approximation of the positive num/den with denominator at most
+    max_den, by a scan of every denominator q: the candidates are floor and
+    floor + 1 over q, and ties break by error, then denominator, then numerator."""
+    target, candidates = Fraction(num, den), []
+    for q in range(1, max_den + 1):
+        floor = num * q // den
+        candidates += [Fraction(floor, q), Fraction(floor + 1, q)]
+    best = min(candidates, key=lambda c: (abs(target - c), c.denominator, c.numerator))
+    return ExtendedRational(best.numerator, best.denominator)

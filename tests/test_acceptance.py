@@ -11,7 +11,6 @@ import json
 import math
 import random
 import time
-from fractions import Fraction
 
 from mediant.cli import main
 from mediant.matrices import Mat2, decompose, from_path
@@ -34,6 +33,7 @@ from mediant.trees import (
     sb_node,
     sb_row,
 )
+from oracles import brute_best
 
 
 @contextlib.contextmanager
@@ -154,18 +154,6 @@ def test_08_exactly_once_coverage():
         assert time.perf_counter() - start < 10.0
 
 
-def brute_best(target: ExtendedRational, max_den: int) -> ExtendedRational:
-    goal = Fraction(target.num, target.den)
-    candidates = []
-    for q in range(1, max_den + 1):
-        floor = goal.numerator * q // goal.denominator
-        for p in (floor, floor + 1):
-            err = abs(goal - Fraction(p, q))
-            reduced = er(p, q)
-            candidates.append((err, reduced.den, reduced.num, reduced))
-    return min(candidates)[3]
-
-
 def test_09_approximation_oracle():
     with criterion(9, "best_approximation matches denominator scan on 200 targets"):
         rng = random.Random(9)
@@ -174,7 +162,7 @@ def test_09_approximation_oracle():
             den = rng.randint(1, 10**4)
             max_den = rng.randint(1, 500)
             got = best_approximation(num, den, max_den)
-            assert got == brute_best(er(num, den), max_den)
+            assert got == brute_best(num, den, max_den)
 
 
 def test_10_two_triples_lemma():

@@ -9,17 +9,20 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import partial
+from itertools import islice
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import mediant.shadows
-from mediant.cli import RenderConfig, build_parser, main, parse_target, render
+from mediant.cli import RenderConfig, _render_pieces, build_parser, main, parse_target, render
 from mediant.rational import ExtendedRational, _printable, farey_sequence
 from mediant.stern import stern
 from mediant.matrices import MAX_LOCATE_STEPS, from_path
-from mediant.trees import best_approximation, cw_value, index_to_path, sb_node
+from mediant.topograph import forward_tree
+from mediant.trees import best_approximation, cw_value, index_to_path, level_iter, sb_node
 from oracles import _count_rule_calls
 
 
@@ -526,6 +529,38 @@ def test_bulk_output_streams_in_bounded_memory(argv, monkeypatch):
         finally:
             tracemalloc.stop()
     assert code == 0
+    assert peak < 2**20
+
+
+def _render_start(kind, fmt):
+    return lambda depth: _render_pieces(RenderConfig(kind, depth, fmt, depth))
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        *(
+            pytest.param(partial(level_iter, kind), id=kind)
+            for kind in ("calkin-wilf", "stern-brocot", "matrix")
+        ),
+        pytest.param(forward_tree, id="forward_tree"),
+        *(
+            pytest.param(_render_start(kind, fmt), id=f"render-{kind}-{fmt}")
+            for kind in ("cw", "sb", "matrix", "topograph")
+            for fmt in ("text", "json", "dot")
+        ),
+    ],
+)
+def test_level_order_starts_at_any_depth(start):
+    # a level is made when a reader reaches it, so the first nodes at depth
+    # 10^5 cost O(_ROW) memory; making the 10^5 + 1 levels first costs ~30 MB
+    tracemalloc.start()
+    try:
+        first = list(islice(start(10**5), 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 2
     assert peak < 2**20
 
 

@@ -30,7 +30,7 @@ from mediant.trees import (
     sb_row,
     walk,
 )
-from oracles import _count_rule_calls
+from oracles import _count_rule_calls, brute_best
 
 
 def er(num, den=1):
@@ -291,21 +291,6 @@ def test_best_approximation_validation():
         best_approximation(1, 0, 10)
 
 
-def brute_best(target_num, target_den, max_den):
-    target = Fraction(target_num, target_den)
-    best = None
-    for q in range(1, max_den + 1):
-        floor = target_num * q // target_den
-        for p in (floor, floor + 1):
-            if p < 0:
-                continue
-            candidate = Fraction(p, q)
-            key = (abs(target - candidate), candidate.denominator, candidate.numerator)
-            if best is None or key < best:
-                best = key
-    return ExtendedRational(best[2], best[1])
-
-
 @settings(max_examples=60)
 @given(
     st.integers(min_value=1, max_value=10**6),
@@ -500,13 +485,18 @@ def test_level_iter_does_not_depend_on_the_span(monkeypatch, span, kind):
 def test_level_order_chunks_are_rows_of_at_most_row_states(monkeypatch, row, kind):
     # a level of fewer than _ROW states is one chunk; from level
     # _ROW.bit_length() - 1 on, every chunk is one full row of _ROW states,
-    # to twice that depth; at _ROW = 1 every chunk is one state
+    # to twice that depth; at _ROW = 1 every chunk is one state.  A chunk is
+    # (paths, states), and level L's paths, joined, are those of BFS indices
+    # 2^L - 1 .. 2^(L+1) - 2
     monkeypatch.setattr("mediant.trees._ROW", row)
     height = row.bit_length() - 1
     for level, chunks in enumerate(_breadth_first(kind, 2 * height + 1)):
         chunk = row if level >= height else 2**level
-        sizes = [(len(suffixes), len(states)) for _, suffixes, states in chunks]
+        chunks = [(list(paths), states) for paths, states in chunks]
+        sizes = [(len(paths), len(states)) for paths, states in chunks]
         assert sizes == [(chunk, chunk)] * (2**level // chunk), level
+        paths = [path for paths, _ in chunks for path in paths]
+        assert paths == list(map(index_to_path, range(2**level - 1, 2 ** (level + 1) - 1)))
 
 
 @pytest.mark.parametrize("row", [8, _ROW])

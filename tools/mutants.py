@@ -74,6 +74,13 @@ CATALOGUE = [
         ("tests/test_trees.py::test_level_iter_is_walk_stably_sorted_by_level",),
     ),
     Mutant(
+        "level-order-made-up-front",
+        "src/mediant/trees.py",
+        "return (_level(root, rule, suffixes, level) for level in range(depth + 1))",
+        "return [_level(root, rule, suffixes, level) for level in range(depth + 1)]",
+        ("tests/test_cli.py::test_level_order_starts_at_any_depth",),
+    ),
+    Mutant(
         "cw-children-swapped",
         "src/mediant/trees.py",
         "return (a, a + b), (a + b, b)",

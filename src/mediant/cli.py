@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from dataclasses import dataclass
 from itertools import chain, islice, product, tee
@@ -19,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import trees
 from ._sweep import sweep
-from .rational import ExtendedRational, _farey, _parse_int, _printable
+from .rational import ExtendedRational, _farey, _printable, parse_target
 from .stern import _newman, fusc
 from .trees import _breadth_first, best_approximation, bfs_index, cw_locate, sb_locate
 
@@ -136,23 +135,6 @@ def _write(chunks: Iterable[str]) -> int:
     sys.stdout.writelines(chunks)
     sys.stdout.flush()  # a reader that left shows here, not in the flush at exit
     return 0
-
-
-_NUMBER_RE = re.compile(r"(-?)(\d+)(?:\.(\d+)|/(\d+))?\Z")
-
-
-def parse_target(text: str) -> ExtendedRational:
-    """Exact value of "p/q", integer, or decimal text.  A decimal is its digits
-    over 10^(digits after the point), and an integer is one with none; floats
-    are never involved, so results are reproducible bit for bit."""
-    text = text.strip()
-    number = _NUMBER_RE.match(text)
-    if number is None:
-        raise ValueError(f"not a fraction, integer or decimal: {text!r}")
-    sign, whole, frac, over = number.groups("")
-    num = _parse_int(whole + frac)  # at most one of frac and over is there
-    den = _parse_int(over) if over else 10 ** len(frac)
-    return ExtendedRational(-num if sign else num, den)
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:

@@ -137,7 +137,8 @@ class Mat2:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
     def __repr__(self) -> str:
-        return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
+        build, entries = self.__reduce__()  # a frame names Mat2.frame, as pickle does
+        return f"{build.__qualname__}{entries}"
 
 
 _set_a, _set_b, _set_c, _set_d = _slot_setters(Mat2)

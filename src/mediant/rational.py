@@ -1,6 +1,6 @@
-"""Exact extended rationals: reduced fractions over big integers, plus infinity,
-and exact guards on both sides of Python's int/str digit limit: _parse_int
-refuses digit strings too long to read, _printable integers too long to print."""
+"""Exact extended rationals over big integers, plus infinity; _NUMBER_RE, the one
+grammar of numeric text; and exact guards on Python's int/str digit limit:
+_parse_int refuses digit strings too long to read, _printable integers too long to print."""
 
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ __all__ = [
     "mediant",
 ]
 
-_FRACTION_RE = re.compile(r"(-?\d+)/(\d+)\Z")
+# sign, digits, then ".decimals" or "/denominator" or neither; parse takes "/" only
+_NUMBER_RE = re.compile(r"(-?)(\d+)(?:\.(\d+)|/(\d+))?\Z")
 
 
 def _slot_setters(cls: type) -> tuple:
@@ -77,10 +78,10 @@ class ExtendedRational:
     @classmethod
     def parse(cls, text: str) -> "ExtendedRational":
         """Parse the canonical "num/den" text form (slash required)."""
-        m = _FRACTION_RE.match(text.strip())
-        if m is None:
+        m = _NUMBER_RE.match(text.strip())
+        if m is None or m[4] is None:
             raise ValueError(f"not a fraction: {text!r}")
-        return cls(_parse_int(m.group(1)), _parse_int(m.group(2)))
+        return cls(_parse_int(m[1] + m[2]), _parse_int(m[4]))
 
     def reciprocal(self) -> "ExtendedRational":
         return ExtendedRational(self.den, self.num)
@@ -122,6 +123,20 @@ def _parse_int(digits: str) -> int:
             " (sys.get_int_max_str_digits)"
         )
     return int(digits)
+
+
+def parse_target(text: str) -> ExtendedRational:
+    """Exact value of "p/q", integer, or decimal text.  A decimal is its digits
+    over 10^(digits after the point), and an integer is one with none; floats
+    are never involved, so results are reproducible bit for bit."""
+    text = text.strip()
+    number = _NUMBER_RE.match(text)
+    if number is None:
+        raise ValueError(f"not a fraction, integer or decimal: {text!r}")
+    sign, whole, frac, over = number.groups("")
+    num = _parse_int(whole + frac)  # at most one of frac and over is there
+    den = _parse_int(over) if over else 10 ** len(frac)
+    return ExtendedRational(-num if sign else num, den)
 
 
 def _printable(n: int, what: str) -> int:

@@ -179,8 +179,9 @@ def _checks(bounds, node) -> tuple[bool, bool, bool, bool]:
     (the frame sends 1 to the label), frame (bounds of determinant -1, so no
     0/0 mediant, which is the label, Z-distinct from each bound, so not 0/0).
     Fractions compare raw first, cross-multiplied only if unequal, a raw 0/0
-    equal to nothing; a raw mediant label needs no abs test (both reduce to
-    the bounds' determinant).  Cores are read per frame (tests replace them)."""
+    equal to nothing.  A label cross-equal to the mediant m, which is primitive
+    (det(lo, m) = -1), is t*m, so one abs test reads |t| for both bounds; a raw
+    mediant label needs none.  Cores are read per frame (tests replace them)."""
     (lo_num, lo_den, hi_num, hi_den), (e, f, g, h) = bounds, node
     num, den = _label_core(lo_num, lo_den, hi_num, hi_den)
     a, b, c, d = _vertex_core(lo_num, lo_den, hi_num, hi_den)
@@ -196,8 +197,7 @@ def _checks(bounds, node) -> tuple[bool, bool, bool, bool]:
             lo_num * hi_den - lo_den * hi_num == -1
             and (num == lo_num + hi_num and den == lo_den + hi_den
                  or num * (lo_den + hi_den) == den * (lo_num + hi_num)
-                 and abs(lo_num * den - lo_den * num) == 1
-                 and abs(num * hi_den - den * hi_num) == 1))
+                 and abs(lo_num * den - lo_den * num) == 1))
 
 
 _FLOW = (TopographReport, _checks, ("stern-brocot", "matrix"))  # a _sweep.tally declaration

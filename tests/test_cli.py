@@ -16,6 +16,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import mediant.cli
+import mediant.rational
 import mediant.shadows
 from mediant.cli import RenderConfig, _render_pieces, build_parser, main, parse_target, render
 from mediant.rational import ExtendedRational, _printable, farey_sequence
@@ -294,6 +296,31 @@ def test_parse_target():
     for bad in (".5", "3.", "1e3", "nan", "+1", "1.2.3", "--1", "-", "+1/2", "1/+2", "1/-2"):
         with pytest.raises(ValueError):
             parse_target(bad)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+_fraction_texts = st.builds(
+    "{}{}/{}{}".format,
+    st.sampled_from(["", "-", "+", " ", "--"]),
+    st.integers(0, 10**30),
+    st.sampled_from(["", "-", "+", "٣"]),
+    st.integers(0, 10**30),
+)
+
+
+@given(st.one_of(_fraction_texts, st.text("0123456789-+./e٣ ", max_size=8)))
+def test_parse_target_reads_fractions_as_parse_does(text):
+    # one grammar: the "/" form means the same value, or the same refusal, to both
+    assert mediant.cli.parse_target is mediant.rational.parse_target
+    fraction = _parsed(ExtendedRational.parse, text)
+    if fraction is not ValueError or "/" in text:
+        assert _parsed(parse_target, text) == fraction
 
 
 def test_render_config_validation():

@@ -18,6 +18,7 @@ from mediant.matrices import (
     validate_path,
 )
 from mediant.rational import ExtendedRational
+from mediant.topograph import forward_tree, vertex_matrix
 
 L, R = generators()
 
@@ -241,13 +242,25 @@ def test_mat2_slots_cannot_be_written():
 
 
 @pytest.mark.parametrize("m", [Mat2(1, 0, 0, 1), from_path("LRR"), Mat2.frame(0, 1, 1, 0),
-                               Mat2.frame(1, 2**70, 1, 2**70 - 1)])
+                               Mat2.frame(1, 2**70, 1, 2**70 - 1),
+                               vertex_matrix(list(forward_tree(2))[5])])
 def test_mat2_copy_and_pickle_round_trip(m):
     # the write guard refuses the default slot restore; members and
-    # determinant -1 frames both rebuild through their checked constructors
-    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+    # determinant -1 frames both rebuild through their checked constructors,
+    # which repr names too
+    rebuilt = eval(repr(m), {"Mat2": Mat2})
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m)), rebuilt):
         assert type(clone) is Mat2
         assert clone == m and clone.det == m.det
+
+
+def test_mixed_operands_raise_type_error():
+    with pytest.raises(TypeError):
+        Mat2(1, 0, 0, 1) * 3
+    with pytest.raises(TypeError):
+        ExtendedRational(1, 2) < 3
+    with pytest.raises(TypeError):
+        ExtendedRational(1, 2) <= 3
 
 
 def test_mat2_hashable():

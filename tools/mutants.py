@@ -198,12 +198,7 @@ CATALOGUE = [
         "src/mediant/topograph.py",
         "abs(lo_num * den - lo_den * num) == 1",
         "abs(lo_num * den - lo_den * num) <= 1",
-        (),
-        "equivalent: the test runs only when the label is not raw-equal to the"
-        " mediant; once the determinant is -1 and num/den cross-multiplies equal"
-        " to the mediant, which is in lowest terms, num/den is t times it, and"
-        " both halves of the Z-distinct test read |t|; the unmutated half refuses"
-        " t = 0 (a 0/0 label), so <= 1 and == 1 agree",
+        ("tests/test_topograph.py::test_verify_counts_a_zero_over_zero_label",),
     ),
     Mutant(
         "unimodular-without-d",
@@ -223,7 +218,7 @@ CATALOGUE = [
     ),
     Mutant(
         "number-sign-accepts-plus",
-        "src/mediant/cli.py",
+        "src/mediant/rational.py",
         r'_NUMBER_RE = re.compile(r"(-?)(\d+)(?:\.(\d+)|/(\d+))?\Z")',
         r'_NUMBER_RE = re.compile(r"([-+]?)(\d+)(?:\.(\d+)|/(\d+))?\Z")',
         ("tests/test_cli.py::test_parse_target",),

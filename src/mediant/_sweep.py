@@ -6,7 +6,7 @@ import os
 import time
 from dataclasses import fields
 from functools import partial
-from itertools import chain, product
+from itertools import chain
 from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import trees
@@ -61,15 +61,14 @@ def sweep(declarations: Sequence[tuple[type[R], Any, Any]], depth: int, jobs: in
 def spans(depth: int, jobs: int) -> list[tuple[str, int]]:
     """Partition levels 0..depth into disjoint (prefix, depth) subtree spans.
 
-    The first span covers the shallow levels above the split; every prefix at
-    the split level owns its whole subtree.  Together they cover each path
-    exactly once.
+    The first span covers the shallow levels above the split; every path at
+    the split level, in level order, owns its whole subtree.  Together they
+    cover each path exactly once.
     """
     if jobs <= 1 or depth < 3:
         return [("", depth)]
     split = min(depth, jobs.bit_length() + 1)
-    prefixes = ["".join(word) for word in product("LR", repeat=split)]
-    return [("", split - 1)] + [(prefix, depth) for prefix in prefixes]
+    return [("", split - 1)] + [(prefix, depth) for prefix in trees._level_paths(split)]
 
 
 def run_spans(span_fn: Callable[[str, int], T], depth: int, jobs: int) -> list[T]:
@@ -120,8 +119,8 @@ def tally(declarations: tuple[tuple, ...], prefix: str, depth: int) -> tuple:
 
 
 def earliest_failure(paths: Iterable[Optional[str]]) -> Optional[str]:
-    """The BFS-earliest non-None path (shortest, then lexicographic), or None."""
+    """The BFS-earliest non-None path, the one of smallest BFS index, or None."""
     found = [p for p in paths if p is not None]
     if not found:
         return None
-    return min(found, key=lambda p: (len(p), p))
+    return min(found, key=trees.bfs_index)

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice, product, tee
+from itertools import chain, islice, tee
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -116,7 +116,7 @@ def _render_pieces(config: RenderConfig) -> Iterator[str]:
         template = '\n  "%s" [label="' + label + '"];'
         yield from _chunks(template, values(levels, label_columns), '\n  "root"', 5)
         for level in range(config.depth):  # two edges per parent, in level order
-            parents = map("".join, product("LR", repeat=level))
+            parents = trees._level_paths(level)
             rows = zip(*tee(parents, 4)) if level else [("root", "", "root", "")]
             yield from _chunks('\n  "%s" -> "%sL";\n  "%s" -> "%sR";', rows)
         yield "\n}"

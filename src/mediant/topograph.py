@@ -181,7 +181,8 @@ def _checks(bounds, node) -> tuple[bool, bool, bool, bool]:
     Fractions compare raw first, cross-multiplied only if unequal, a raw 0/0
     equal to nothing.  A label cross-equal to the mediant m, which is primitive
     (det(lo, m) = -1), is t*m, so one abs test reads |t| for both bounds; a raw
-    mediant label needs none.  Cores are read per frame (tests replace them)."""
+    mediant label needs none.  A member's h >= 0 needs no test: e, f, g >= 0 and
+    e*h - f*g = 1 give e*h >= 1, so h > 0.  Cores are read per frame (tests replace them)."""
     (lo_num, lo_den, hi_num, hi_den), (e, f, g, h) = bounds, node
     num, den = _label_core(lo_num, lo_den, hi_num, hi_den)
     a, b, c, d = _vertex_core(lo_num, lo_den, hi_num, hi_den)
@@ -190,7 +191,7 @@ def _checks(bounds, node) -> tuple[bool, bool, bool, bool]:
     framed = a >= 0 and b >= 0 and c >= 0 and d >= 0 and a * d - b * c in (1, -1)
     labelled = num != 0 or den != 0
     return (framed and shadow == node
-            and e >= 0 and f >= 0 and g >= 0 and h >= 0 and e * h - f * g == 1,
+            and e >= 0 and f >= 0 and g >= 0 and e * h - f * g == 1,
             (num == p and den == q or num * q == den * p) and labelled and (p != 0 or q != 0),
             framed and (x == num and y == den or x * den == y * num)
             and (x != 0 or y != 0) and labelled,

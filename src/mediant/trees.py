@@ -89,15 +89,9 @@ def index_to_path(n: int) -> Path:
 
 
 def cw_value(path: Path) -> ExtendedRational:
-    """Calkin-Wilf value at `path`: root 1/1, L child a/(a+b), R child (a+b)/b."""
-    validate_path(path)
-    a, b = 1, 1
-    for step in path:
-        if step == "L":
-            b += a
-        else:
-            a += b
-    return ExtendedRational(a, b)
+    """Calkin-Wilf value at `path`: root 1/1, L child a/(a+b), R child (a+b)/b;
+    read breadth first the tree is fusc(n)/fusc(n+1), so this is cw_unrank(bfs_index(path))."""
+    return cw_unrank(bfs_index(path))
 
 
 def cw_unrank(n: int) -> ExtendedRational:
@@ -211,8 +205,8 @@ def best_approximation(target_num: int, target_den: int, max_den: int) -> Extend
     p = target.num * b - a * target.den
     q = c * target.den - target.num * d
     order = p * d - q * b
-    # a tie goes to the smaller denominator, then the smaller numerator
-    if order < 0 or (order == 0 and (b, a) < (d, c)):
+    # a tie goes to the smaller denominator; as lo < hi, b == d forces a < c
+    if order < 0 or (order == 0 and b <= d):
         return ExtendedRational(a, b)
     return ExtendedRational(c, d)
 
@@ -300,14 +294,19 @@ def _rows(roots, rules, depth: int, prefix: Path, width: int) -> Iterator[tuple[
             yield path, rows
 
 
+def _level_paths(level: int) -> Iterator[Path]:
+    """A level's paths, left to right, made as read: binary order with L as 0."""
+    return map("".join, product("LR", repeat=level))
+
+
 def _breadth_first(kind: str, depth: int) -> Iterator[Iterator[tuple[Iterator[Path], list]]]:
     """walk's states level by level, levels 0..depth, each made when a reader
     reaches it: level L as chunks (paths, states) of at most _ROW states, left
-    to right, the rows _rows grows to depth L that end at level L, so O(L * _ROW)
-    states.  Arguments are checked here, eagerly."""
+    to right, the rows _rows grows to depth L that end at level L, named by
+    _level_paths, so O(L * _ROW) states.  Arguments are checked here, eagerly."""
     root, rule = _start(kind, depth, "")
     span = min(depth, _ROW.bit_length() - 1)
-    suffixes = [list(map("".join, product("LR", repeat=k))) for k in range(span + 1)]
+    suffixes = [list(_level_paths(k)) for k in range(span + 1)]
     return (_level(root, rule, suffixes, level) for level in range(depth + 1))
 
 

@@ -8,6 +8,8 @@ from functools import partial
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mediant._sweep as sweep
 import mediant.shadows
@@ -172,6 +174,14 @@ def test_first_failure_is_the_bfs_earliest_across_spans(monkeypatch, fake_pool):
     assert verify_topograph_proof(5, jobs=2).first_failure_path == "R"
     assert [pool.tasks for pool in fake_pool] == [len(sweep.spans(5, 2))] * 2
     assert len(sweep.spans(5, 2)) > 1
+
+
+@given(st.lists(st.none() | st.text(alphabet="LR", max_size=12)))
+def test_earliest_failure_is_the_shortest_then_lexicographic_path(paths):
+    # the smallest BFS index is the shortest path, then the first with L before R
+    found = [path for path in paths if path is not None]
+    expected = min(found, key=lambda path: (len(path), path)) if found else None
+    assert sweep.earliest_failure(paths) == expected
 
 
 # what `mediant verify` sweeps: both declarations on one walk

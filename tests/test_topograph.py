@@ -2,7 +2,7 @@ import dataclasses
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mediant.topograph
@@ -467,8 +467,20 @@ core_outputs = st.fixed_dictionaries({}, optional={
 })
 
 
+_ROOT_BOUNDS, _ROOT_NODE = (0, 1, 1, 0), (1, 0, 0, 1)
+
+
+# Each example kills one clause ablation of _checks (tools/mutants.py) at an
+# input that random draws rarely reach: a core's constant output equal to the
+# drawn node, two cores agreeing on 1/0, or one exact label at the root bounds.
 @settings(max_examples=1000, deadline=None)
 @given(quads, quads, core_outputs)
+@example((-1, 1, 0, 1), _ROOT_NODE, {"_conjugate_core": _ROOT_NODE})  # framed
+@example(_ROOT_BOUNDS, (-1, 0, 0, -1), {"_conjugate_core": (-1, 0, 0, -1)})  # e >= 0
+@example(_ROOT_BOUNDS, (1, -1, 0, 1), {"_conjugate_core": (1, -1, 0, 1)})  # f >= 0
+@example(_ROOT_BOUNDS, (1, 0, -1, 1), {"_conjugate_core": (1, 0, -1, 1)})  # g >= 0
+@example(_ROOT_BOUNDS, _ROOT_NODE, {"_mobius_core": (1, 0), "_label_core": (1, 0)})  # x != 0
+@example(_ROOT_BOUNDS, _ROOT_NODE, {"_label_core": (1, 2)})  # den == lo_den + hi_den
 def test_checks_match_the_formulation_before_inlining(bounds, node, outputs):
     with pytest.MonkeyPatch.context() as patch:
         for core, value in outputs.items():

@@ -16,6 +16,7 @@ from mediant.trees import (
     MAX_LOCATE_STEPS,
     _ROW,
     _breadth_first,
+    _level_paths,
     _rows,
     _start,
     best_approximation,
@@ -69,9 +70,17 @@ def test_cw_unrank_is_the_fusc_ratio(n):
 
 
 def test_bfs_rank_agreement():
-    # cw_value at the BFS-index-n path is exactly cw_unrank(n)
-    for n in range(2**13):
-        assert cw_value(index_to_path(n)) == cw_unrank(n)
+    # the level order, grown by the child rule, reads off as fusc(n)/fusc(n+1):
+    # the n-th node is exactly cw_unrank(n)
+    for n, node in enumerate(level_iter("calkin-wilf", 12)):
+        assert node.value == cw_unrank(n)
+    assert n == 2**13 - 2
+
+
+def test_level_paths_are_the_levels_bfs_indices():
+    for k in range(11):
+        paths = [index_to_path(i) for i in range(2**k - 1, 2 ** (k + 1) - 1)]
+        assert list(_level_paths(k)) == paths
 
 
 def test_bfs_index_round_trip():

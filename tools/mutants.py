@@ -55,9 +55,12 @@ CATALOGUE = [
     Mutant(
         "level-order-suffixes-reversed",
         "src/mediant/trees.py",
-        'product("LR", repeat=k)',
-        'product("RL", repeat=k)',
-        ("tests/test_trees.py::test_level_iter_is_walk_stably_sorted_by_level",),
+        'product("LR", repeat=level)',
+        'product("RL", repeat=level)',
+        (
+            "tests/test_trees.py::test_level_iter_is_walk_stably_sorted_by_level",
+            "tests/test_cli.py::test_render_matches_the_public_objects",
+        ),
     ),
     Mutant(
         "level-order-chunk-narrower",
@@ -150,7 +153,7 @@ CATALOGUE = [
     Mutant(
         "earliest-failure-lexicographic",
         "src/mediant/_sweep.py",
-        "return min(found, key=lambda p: (len(p), p))",
+        "return min(found, key=trees.bfs_index)",
         "return min(found)",
         ("tests/test_sweep.py::test_first_failure_is_the_bfs_earliest_within_a_span",),
     ),
@@ -207,6 +210,50 @@ CATALOGUE = [
         "c >= 0 and",
         ("tests/test_topograph.py::"
          "test_checks_match_the_formulation_before_inlining_on_every_small_frame",),
+    ),
+    # clause ablations of topograph._checks that only a core replaced by a
+    # constant can kill, at inputs pinned by @example
+    Mutant(
+        "conjugation-without-framed",
+        "src/mediant/topograph.py",
+        "return (framed and shadow == node",
+        "return (True and shadow == node",
+        ("tests/test_topograph.py::test_checks_match_the_formulation_before_inlining",),
+    ),
+    Mutant(
+        "conjugation-without-e-sign",
+        "src/mediant/topograph.py",
+        "and e >= 0 and f >= 0",
+        "and True and f >= 0",
+        ("tests/test_topograph.py::test_checks_match_the_formulation_before_inlining",),
+    ),
+    Mutant(
+        "conjugation-without-f-sign",
+        "src/mediant/topograph.py",
+        "f >= 0 and g >= 0",
+        "True and g >= 0",
+        ("tests/test_topograph.py::test_checks_match_the_formulation_before_inlining",),
+    ),
+    Mutant(
+        "conjugation-without-g-sign",
+        "src/mediant/topograph.py",
+        "g >= 0 and e * h",
+        "True and e * h",
+        ("tests/test_topograph.py::test_checks_match_the_formulation_before_inlining",),
+    ),
+    Mutant(
+        "mobius-without-x-nonzero",
+        "src/mediant/topograph.py",
+        "and (x != 0 or y != 0)",
+        "and (False or y != 0)",
+        ("tests/test_topograph.py::test_checks_match_the_formulation_before_inlining",),
+    ),
+    Mutant(
+        "frame-without-den-sum",
+        "src/mediant/topograph.py",
+        "and den == lo_den + hi_den",
+        "and True",
+        ("tests/test_topograph.py::test_checks_match_the_formulation_before_inlining",),
     ),
     # the CLI and the library around the sweeps
     Mutant(
@@ -276,13 +323,18 @@ CATALOGUE = [
         ),
     ),
     Mutant(
-        "approx-tie-key-numerator-first",
+        "approx-tie-strict",
         "src/mediant/trees.py",
-        "(b, a) < (d, c)",
-        "(a, b) < (c, d)",
-        (),
-        "equivalent: on unimodular neighbours a < c with b > d forces a = d = 0,"
-        " so the upper bound is 1/0 and both keys pick the same side",
+        "order == 0 and b <= d",
+        "order == 0 and b < d",
+        ("tests/test_trees.py::test_best_approximation_tie_breaking",),
+    ),
+    Mutant(
+        "cw-value-index-off-by-one",
+        "src/mediant/trees.py",
+        "return cw_unrank(bfs_index(path))",
+        "return cw_unrank(bfs_index(path) + 1)",
+        ("tests/test_trees.py::test_walk_states_match_the_direct_constructions",),
     ),
     # what importing the package and the CLI loads
     Mutant(
@@ -317,8 +369,8 @@ CATALOGUE = [
     Mutant(
         "dot-edges-right-first",
         "src/mediant/cli.py",
-        'product("LR", repeat=level)',
-        'product("RL", repeat=level)',
+        "parents = trees._level_paths(level)",
+        "parents = reversed(list(trees._level_paths(level)))",
         ("tests/test_cli.py::test_render_matches_the_public_objects",),
     ),
     Mutant(

@@ -94,10 +94,11 @@ def tally(declarations: tuple[tuple, ...], prefix: str, depth: int) -> tuple:
     """The span engine.  A declaration is (report, check, kinds): `check` takes
     a state per tree in `kinds` and returns an ok flag per `report.counters()`.
     Each tree any declaration names is grown once, by trees._rows, over one
-    subtree span, and every check is mapped over each row.  Only a row with
-    a failure is gone through node by node, and only a failing node gets a
-    path.  Returns what `sweep` folds: visits, then per declaration its
-    failure counts and its own BFS-earliest failing path or None."""
+    subtree span, and every check is mapped over each row.  A row with a
+    failure adds up each flag's column, and only its first failing node, the
+    row's BFS-earliest, gets a path.  Returns what `sweep` folds: visits, then
+    per declaration its failure counts and its own BFS-earliest failing path
+    or None."""
     kinds = list(dict.fromkeys(chain.from_iterable(own for _, _, own in declarations)))
     roots, rules = zip(*(trees._start(kind, depth, prefix) for kind in kinds))
     groups = [(check, [kinds.index(kind) for kind in own], (True,) * len(report.counters()),
@@ -109,12 +110,11 @@ def tally(declarations: tuple[tuple, ...], prefix: str, depth: int) -> tuple:
             oks = list(map(check, *[rows[k] for k in at]))
             if oks.count(passed) == len(oks):
                 continue
-            for n, flags in enumerate(oks):
-                if False in flags:
-                    for i, ok in enumerate(flags):
-                        counts[i] += not ok
-                    found = path + trees.index_to_path(len(oks) - 1 + n)
-                    counts[-1] = earliest_failure([counts[-1], found])
+            for i, column in enumerate(zip(*oks)):
+                counts[i] += column.count(False)
+            first = next(n for n, flags in enumerate(oks) if flags != passed)
+            found = path + trees.index_to_path(len(oks) - 1 + first)
+            counts[-1] = earliest_failure([counts[-1], found])
     return (visits, *chain.from_iterable(counts for *_, counts in groups))
 
 

@@ -20,7 +20,7 @@ from . import trees
 from ._sweep import sweep
 from .rational import ExtendedRational, _farey, _printable, parse_target
 from .stern import _newman, fusc
-from .trees import _breadth_first, best_approximation, bfs_index, cw_locate, sb_locate
+from .trees import _bfs_index, _breadth_first, best_approximation, cw_locate, sb_locate
 
 __all__ = ["RenderConfig", "build_parser", "main", "parse_target", "render"]
 
@@ -150,7 +150,7 @@ def _print_json(value, **options) -> None:
 def _cmd_locate(args: argparse.Namespace) -> int:
     value = ExtendedRational.parse(args.value)
     path = cw_locate(value) if args.tree == "cw" else sb_locate(value)
-    index = _printable(bfs_index(path), f"path of {len(path)} steps has a BFS index")
+    index = _printable(_bfs_index(path), f"path of {len(path)} steps has a BFS index")
     _print_json({"path": path, "bfs_index": index})
     return 0
 

@@ -77,7 +77,11 @@ def bfs_index(path: Path) -> int:
     In binary, index + 1 is a 1 followed by the path with L as 0 and R as 1,
     so one base-2 parse gives it in time linear in the path length.
     """
-    validate_path(path)
+    return _bfs_index(validate_path(path))
+
+
+def _bfs_index(path: Path) -> int:
+    """bfs_index of a checked path, such as one cw_locate or sb_locate spelled."""
     return int("1" + path.translate(_STEP_BITS), 2) - 1
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import mediant.cli
 import mediant.rational
 import mediant.shadows
+import mediant.trees
 from mediant.cli import RenderConfig, _render_pieces, build_parser, main, parse_target, render
 from mediant.rational import ExtendedRational, _printable, farey_sequence
 from mediant.stern import stern
@@ -388,6 +389,17 @@ def _render_from_public_objects(kind, depth, fmt):
     return "\n".join(lines + ["}"])
 
 
+def _assert_same_render(got, expected):
+    """got == expected; on a mismatch, fail with the first line that differs
+    rather than pytest's diff of two large strings, which takes minutes."""
+    if got != expected:
+        got, expected = got.split("\n"), expected.split("\n")
+        n = next((i for i, (line, want) in enumerate(zip(got, expected)) if line != want),
+                 min(len(got), len(expected)))
+        pytest.fail(f"line {n} differs: got {got[n:n + 1]}, expected {expected[n:n + 1]}",
+                    pytrace=False)
+
+
 @pytest.mark.parametrize("kind", ["cw", "sb", "matrix", "topograph"])
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
 @pytest.mark.parametrize("depth", range(11))
@@ -396,7 +408,7 @@ def test_render_matches_the_public_objects(kind, fmt, depth):
     # ExtendedRational and Mat2 text of the per-path lookups, in BFS order.
     # Levels 9 and 10 hold more nodes than one 256-row chunk.
     expected = _render_from_public_objects(kind, depth, fmt)
-    assert render(RenderConfig(kind=kind, depth=depth, format=fmt)) == expected
+    _assert_same_render(render(RenderConfig(kind=kind, depth=depth, format=fmt)), expected)
 
 
 @pytest.mark.parametrize("span", [1, 2, 3])
@@ -408,7 +420,7 @@ def test_render_does_not_depend_on_the_span(monkeypatch, span, kind, fmt):
     # then writes 2 to 8 rows per %
     monkeypatch.setattr("mediant.trees._ROW", 2**span)
     expected = _render_from_public_objects(kind, 7, fmt)
-    assert render(RenderConfig(kind=kind, depth=7, format=fmt)) == expected
+    _assert_same_render(render(RenderConfig(kind=kind, depth=7, format=fmt)), expected)
 
 
 @pytest.mark.parametrize(
@@ -671,6 +683,32 @@ def test_locate_refuses_overlong_paths(tree, value, steps):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:") and f"path of {steps} steps" in err
+
+
+@pytest.mark.parametrize(
+    "tree, value, located",
+    [
+        ("cw", "2/5", {"path": "RLL", "bfs_index": 11}),
+        ("sb", "2/5", {"path": "LLR", "bfs_index": 8}),
+        ("cw", "10000000/1", None),  # BFS index too long to print
+        ("sb", "10000000/1", None),
+    ],
+)
+def test_locate_does_not_recheck_the_path_it_spelled(monkeypatch, tree, value, located):
+    # bfs_index checks a path from outside; the one cw_locate or sb_locate
+    # spelled needs no check, which on 10^7 steps took most of a refusal's time
+    limit = None if located else _digit_limit()
+    checked = []
+    check = mediant.trees.validate_path
+    monkeypatch.setattr(mediant.trees, "validate_path", lambda p: checked.append(p) or check(p))
+    code, out, err = run_cli("locate", "--tree", tree, value)
+    assert checked == []
+    if located:
+        assert (code, out, err) == (0, json.dumps(located) + "\n", "")
+    else:
+        message = ("error: path of 9999999 steps has a BFS index of 10000000 bits, more than"
+                   f" the {limit} digits Python prints (sys.get_int_max_str_digits)\n")
+        assert (code, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize(

@@ -167,6 +167,30 @@ def test_tally_does_not_depend_on_the_row_width(monkeypatch, row, paths, first):
     assert topograph["first_failure_path"] == first
 
 
+def test_an_all_failing_sweep_makes_one_path_per_failing_row(monkeypatch):
+    # swapped Stern-Brocot children fail every frame below the root; each row
+    # adds up its failures and spells only its first failing node's path
+    seed, children, value_of = mediant.trees._TREE_RULES["stern-brocot"]
+    monkeypatch.setitem(
+        mediant.trees._TREE_RULES, "stern-brocot", (seed, lambda s: children(s)[::-1], value_of)
+    )
+    rows, spelled = [], []
+    grow, spell = mediant.trees._rows, mediant.trees.index_to_path
+    monkeypatch.setattr(mediant.trees, "_rows", lambda *a: (rows.append(r) or r for r in grow(*a)))
+    monkeypatch.setattr(mediant.trees, "index_to_path", lambda n: spelled.append(n) or spell(n))
+    report = verify_topograph_proof(10).as_dict()
+    del report["elapsed_s"]
+    assert report == {
+        "depth": 10, "frames": 2**11 - 1, "conjugation_failures": 2**11 - 2,
+        "label_failures": 2**11 - 2, "mobius_failures": 0, "frame_failures": 0,
+        "first_failure_path": "L",
+    }
+    # levels 0..8 are one row each; levels 9 and 10 split into 2 and 4 rows of 256
+    assert mediant.trees._ROW == 256 and len(rows) == 15
+    # the root's row passes, so 14 rows fail
+    assert len(spelled) == 14
+
+
 def test_first_failure_is_the_bfs_earliest_across_spans(monkeypatch, fake_pool):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _fail_at(monkeypatch, FAILING)

@@ -90,6 +90,11 @@ def test_bfs_index_round_trip():
         assert bfs_index(index_to_path(n)) == n
     with pytest.raises(ValueError):
         index_to_path(-1)
+    # a path from outside is checked: unchecked, "L0R" would parse as "LLR"
+    with pytest.raises(ValueError):
+        bfs_index("L0R")
+    with pytest.raises(TypeError):
+        bfs_index(["L", "R"])
 
 
 @given(paths)

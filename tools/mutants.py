@@ -4,20 +4,21 @@ whether the test suite kills each one.
 Each entry is a one-place text edit of one source file, the tests expected
 to kill it, and, for an equivalent or masked mutant, the reason it is
 expected to survive.  For each entry the runner copies the repository into a
-temporary directory, applies the edit to the copy, runs the named tests,
-and then, if they all pass, the whole suite with -x, less
-tests/test_mutants.py (which fails on any applied edit).  The working tree is
-never edited.
+temporary directory, applies the edit to the copy, runs each named test in
+a pytest call of its own, and then, if they all pass, the whole suite with
+-x, less tests/test_mutants.py (which fails on any applied edit).  The
+working tree is never edited.
 
     python3 tools/mutants.py             # every entry
     python3 tools/mutants.py NAME ...    # the named entries
 
-One line per entry: killed by a named test, killed only by the wider suite,
-or survived.  The exit status is 1 when an entry's outcome is not the
-expected one (a killed mutant whose named tests miss it counts as such), so
-a stale killer list shows.  Standard library only; the copy runs the pytest
-the current interpreter imports.  tests/test_mutants.py checks, without
-running any mutant, that each edit still applies exactly once.
+One line per entry: killed by every named test, missed by a named test,
+killed only by the wider suite, or survived.  The exit status is 1 when an
+entry's outcome is not the expected one (a mutant that one of its named
+tests misses counts as such), so a stale killer list shows.  Standard
+library only; the copy runs the pytest the current interpreter imports.
+tests/test_mutants.py checks, without running any mutant, that each edit
+still applies exactly once.
 """
 
 from __future__ import annotations
@@ -103,16 +104,16 @@ CATALOGUE = [
     Mutant(
         "tally-first-shared-by-the-checks",
         "src/mediant/_sweep.py",
-        "                    counts[-1] = earliest_failure([counts[-1], found])",
-        "                    for *_, every in groups:\n"
-        "                        every[-1] = earliest_failure([every[-1], found])",
+        "            counts[-1] = earliest_failure([counts[-1], found])",
+        "            for *_, every in groups:\n"
+        "                every[-1] = earliest_failure([every[-1], found])",
         ("tests/test_sweep.py::test_joint_sweep_keeps_each_checks_own_first_failure",),
     ),
     Mutant(
         "tally-path-off-by-one",
         "src/mediant/_sweep.py",
-        "trees.index_to_path(len(oks) - 1 + n)",
-        "trees.index_to_path(len(oks) + n)",
+        "trees.index_to_path(len(oks) - 1 + first)",
+        "trees.index_to_path(len(oks) + first)",
         ("tests/test_sweep.py::test_first_failure_is_the_bfs_earliest_within_a_span",),
     ),
     Mutant(
@@ -123,18 +124,25 @@ CATALOGUE = [
         ("tests/test_sweep.py::test_first_failure_is_the_bfs_earliest_within_a_span",),
     ),
     Mutant(
+        "tally-row-last-failure",
+        "src/mediant/_sweep.py",
+        "first = next(n for n, flags in enumerate(oks) if flags != passed)",
+        "first = max(n for n, flags in enumerate(oks) if flags != passed)",
+        ("tests/test_sweep.py::test_an_all_failing_sweep_makes_one_path_per_failing_row",),
+    ),
+    Mutant(
         "tally-first-flag-only",
         "src/mediant/_sweep.py",
-        "if False in flags:",
-        "if flags[0] is False:",
+        "enumerate(zip(*oks))",
+        "enumerate(list(zip(*oks))[:1])",
         ("tests/test_topograph.py::test_verify_counts_a_zero_over_zero_label",),
     ),
     Mutant(
         "tally-counts-once",
         "src/mediant/_sweep.py",
-        "counts[i] += not ok",
-        "counts[i] |= not ok",
-        ("tests/test_sweep.py::test_first_failure_is_the_bfs_earliest_within_a_span",),
+        "counts[i] += column.count(False)",
+        "counts[i] += False in column",
+        ("tests/test_sweep.py::test_an_all_failing_sweep_makes_one_path_per_failing_row",),
     ),
     Mutant(
         "ok-reads-one-counter",
@@ -330,6 +338,13 @@ CATALOGUE = [
         ("tests/test_trees.py::test_best_approximation_tie_breaking",),
     ),
     Mutant(
+        "bfs-index-unchecked",
+        "src/mediant/trees.py",
+        "return _bfs_index(validate_path(path))",
+        "return _bfs_index(path)",
+        ("tests/test_trees.py::test_bfs_index_round_trip",),
+    ),
+    Mutant(
         "cw-value-index-off-by-one",
         "src/mediant/trees.py",
         "return cw_unrank(bfs_index(path))",
@@ -412,10 +427,12 @@ def run(mutant: Mutant) -> tuple[str, bool]:
         if text.count(mutant.old) != 1:
             return f"stale: the old text is not in {mutant.file} exactly once", False
         target.write_text(text.replace(mutant.old, mutant.new))
-        if mutant.killers:
-            named = _pytest(tree, *mutant.killers)
-            if named.returncode != 0:
-                return f"killed by {_first_failure(named)}", not mutant.survives
+        runs = {killer: _pytest(tree, killer) for killer in mutant.killers}
+        missed = [killer for killer, named in runs.items() if named.returncode == 0]
+        if runs and not missed:
+            return f"killed by {', '.join(map(_first_failure, runs.values()))}", not mutant.survives
+        if 0 < len(missed) < len(runs):
+            return f"missed by the named {', '.join(missed)}, which passed", False
         # the catalogue's own check fails on any applied edit, so it kills nothing
         suite = _pytest(tree, "--deselect", "tests/test_mutants.py")
         if suite.returncode != 0:

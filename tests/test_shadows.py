@@ -1,3 +1,4 @@
+import inspect
 import json
 from itertools import product
 
@@ -18,7 +19,7 @@ from mediant.shadows import (
     verify_theorem,
 )
 from mediant.trees import cw_value, sb_node, sb_row, walk
-from oracles import _raw_equal
+from oracles import _raw_equal, clause_ablations, compiled, first_difference
 
 paths = st.text(alphabet="LR", max_size=40)
 _MIRROR = str.maketrans("LR", "RL")
@@ -156,17 +157,41 @@ def test_verify_accepts_a_scaled_core(monkeypatch, core, k, failures):
     assert report.first_failure_path == ("" if failures else None)
 
 
-def test_checks_match_raw_equal_on_every_small_pair(monkeypatch):
-    # both cores replaced by each constant pair in -2..2, against each expected
-    # pair in -2..2 (the Farey one as a sum of bounds, and reversed, so the
-    # two flags differ), 0/0 on either side included
-    pairs = list(product(range(-2, 3), repeat=2))
-    for value in pairs:
-        monkeypatch.setattr(mediant.shadows, "_cw_core", lambda *_: value)
-        monkeypatch.setattr(mediant.shadows, "_farey_core", lambda *_: value)
-        for num, den in pairs:
-            flags = mediant.shadows._checks((1, 0, 0, 1), (num, den), (den - 1, num + 1, 1, -1))
-            assert flags == (_raw_equal(*value, num, den), _raw_equal(*value, den, num))
+def _oracle_checks(entries, cw, sb):
+    lo_num, lo_den, hi_num, hi_den = sb
+    return (_raw_equal(*mediant.shadows._cw_core(*entries), *cw),
+            _raw_equal(*mediant.shadows._farey_core(*entries), lo_num + hi_num, lo_den + hi_den))
+
+
+# Witnesses (cores replaced by constants, arguments of _checks): both cores as
+# each pair in -2..2, against each expected pair in -2..2 (the Farey one as a
+# sum of bounds, and reversed, so the flags differ), 0/0 on either side included.
+_PAIRS = list(product(range(-2, 3), repeat=2))
+WITNESSES = [({"_cw_core": value, "_farey_core": value},
+              ((1, 0, 0, 1), (num, den), (den - 1, num + 1, 1, -1)))
+             for value in _PAIRS for num, den in _PAIRS]
+
+
+def test_checks_match_raw_equal_on_every_small_pair():
+    assert first_difference(mediant.shadows, mediant.shadows._checks, _oracle_checks,
+                            WITNESSES) is None
+
+
+FAMILY = clause_ablations(inspect.getsource(mediant.shadows))
+# The raw-first arm of each flag (cw, farey) is a fast path that no input can
+# tell from its cross-multiplied arm, by the proof beside it.
+RAW_FIRST = {
+    "flag 0: p == num and q == den -> False": "p == num and q == den imply p*den == q*num",
+    "flag 1: r == med_num and s == med_den -> False":
+        "r == med_num and s == med_den imply r*med_den == s*med_num",
+}
+
+
+@pytest.mark.parametrize("clause", sorted(FAMILY.keys() | RAW_FIRST.keys()))
+def test_every_clause_of_checks_decides_a_witness(clause):
+    ablated = compiled(mediant.shadows, FAMILY[clause])
+    decided = first_difference(mediant.shadows, ablated, mediant.shadows._checks, WITNESSES)
+    assert (decided is None) == (clause in RAW_FIRST), decided
 
 
 small = st.integers(min_value=-3, max_value=3)
@@ -177,8 +202,4 @@ small = st.integers(min_value=-3, max_value=3)
        st.tuples(small, small, small, small))
 def test_checks_match_raw_equal_on_the_cores(entries, cw, sb):
     # 0/0 values, negative entries and both determinant signs all occur here
-    lo_num, lo_den, hi_num, hi_den = sb
-    assert mediant.shadows._checks(entries, cw, sb) == (
-        _raw_equal(*_cw_core(*entries), *cw),
-        _raw_equal(*_farey_core(*entries), lo_num + hi_num, lo_den + hi_den),
-    )
+    assert mediant.shadows._checks(entries, cw, sb) == _oracle_checks(entries, cw, sb)

@@ -1,8 +1,9 @@
 import dataclasses
+import inspect
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mediant.topograph
@@ -25,7 +26,7 @@ from mediant.topograph import (
     vertex_matrix,
 )
 from mediant.trees import sb_node, walk
-from oracles import _raw_equal
+from oracles import _raw_equal, clause_ablations, compiled, first_difference
 
 
 def er(num, den=1):
@@ -444,14 +445,62 @@ def _oracle_checks(bounds, node):
             _frame_ok(*bounds, num, den))
 
 
-def test_checks_match_the_formulation_before_inlining_on_every_small_frame():
+_ROOT_BOUNDS, _ROOT_NODE = (0, 1, 1, 0), (1, 0, 0, 1)
+
+
+def _small_frames():
     # every bounds tuple in -3..3, beside the node its frame conjugates to,
     # that node negated, and the root
     for bounds in product(range(-3, 4), repeat=4):
         lo_num, lo_den, hi_num, hi_den = bounds
         conjugate = (lo_den, lo_num, hi_den, hi_num)
-        for node in (conjugate, tuple(-x for x in conjugate), (1, 0, 0, 1)):
-            assert mediant.topograph._checks(bounds, node) == _oracle_checks(bounds, node)
+        for node in (conjugate, tuple(-x for x in conjugate), _ROOT_NODE):
+            yield {}, (bounds, node)
+
+
+# Witnesses (cores replaced by constants, arguments of _checks).  Each pin
+# decides one clause at an input random draws rarely reach: a core's output
+# equal to the node, or two cores agreeing on 1/0 or 0/1.  Then the label,
+# Farey and Moebius cores alone as each pair in -2..2 (the label (1, 2)
+# decides den == lo_den + hi_den), at the root frame and its children.
+WITNESSES = [
+    ({"_conjugate_core": _ROOT_NODE}, ((-1, 1, 0, 1), _ROOT_NODE)),  # framed
+    ({"_conjugate_core": (-1, 0, 0, -1)}, (_ROOT_BOUNDS, (-1, 0, 0, -1))),  # e >= 0
+    ({"_conjugate_core": (1, -1, 0, 1)}, (_ROOT_BOUNDS, (1, -1, 0, 1))),  # f >= 0
+    ({"_conjugate_core": (1, 0, -1, 1)}, (_ROOT_BOUNDS, (1, 0, -1, 1))),  # g >= 0
+    ({"_mobius_core": (1, 0), "_label_core": (1, 0)}, (_ROOT_BOUNDS, _ROOT_NODE)),  # x != 0
+    ({"_mobius_core": (0, 1), "_label_core": (0, 1)}, (_ROOT_BOUNDS, _ROOT_NODE)),  # y != 0
+    *[({core: pair}, frame)
+      for core in ("_label_core", "_farey_core", "_mobius_core")
+      for pair in product(range(-2, 3), repeat=2)
+      for frame in ((_ROOT_BOUNDS, _ROOT_NODE), ((0, 1, 1, 1), (1, 0, 1, 1)),
+                    ((1, 1, 1, 0), (1, 1, 0, 1)))],
+    *_small_frames(),
+]
+
+
+def test_checks_match_the_formulation_before_inlining_on_every_small_frame():
+    assert first_difference(mediant.topograph, mediant.topograph._checks, _oracle_checks,
+                            WITNESSES) is None
+
+
+FAMILY = clause_ablations(inspect.getsource(mediant.topograph))
+# The raw-first arm of the label, Moebius and frame flags is a fast path that
+# no input can tell from its cross-multiplied arm, by the proof beside it.
+RAW_FIRST = {
+    "flag 1: num == p and den == q -> False": "num == p and den == q imply num*q == den*p",
+    "flag 2: x == num and y == den -> False": "x == num and y == den imply x*den == y*num",
+    "flag 3: num == lo_num + hi_num and den == lo_den + hi_den -> False":
+        "the raw mediant label is cross-equal to the mediant, and the determinant"
+        " clause comes first, so |lo_num*den - lo_den*num| = |det| = 1",
+}
+
+
+@pytest.mark.parametrize("clause", sorted(FAMILY.keys() | RAW_FIRST.keys()))
+def test_every_clause_of_checks_decides_a_witness(clause):
+    ablated = compiled(mediant.topograph, FAMILY[clause])
+    decided = first_difference(mediant.topograph, ablated, mediant.topograph._checks, WITNESSES)
+    assert (decided is None) == (clause in RAW_FIRST), decided
 
 
 small = st.integers(min_value=-3, max_value=3)
@@ -467,22 +516,9 @@ core_outputs = st.fixed_dictionaries({}, optional={
 })
 
 
-_ROOT_BOUNDS, _ROOT_NODE = (0, 1, 1, 0), (1, 0, 0, 1)
-
-
-# Each example kills one clause ablation of _checks (tools/mutants.py) at an
-# input that random draws rarely reach: a core's constant output equal to the
-# drawn node, two cores agreeing on 1/0, or one exact label at the root bounds.
 @settings(max_examples=1000, deadline=None)
 @given(quads, quads, core_outputs)
-@example((-1, 1, 0, 1), _ROOT_NODE, {"_conjugate_core": _ROOT_NODE})  # framed
-@example(_ROOT_BOUNDS, (-1, 0, 0, -1), {"_conjugate_core": (-1, 0, 0, -1)})  # e >= 0
-@example(_ROOT_BOUNDS, (1, -1, 0, 1), {"_conjugate_core": (1, -1, 0, 1)})  # f >= 0
-@example(_ROOT_BOUNDS, (1, 0, -1, 1), {"_conjugate_core": (1, 0, -1, 1)})  # g >= 0
-@example(_ROOT_BOUNDS, _ROOT_NODE, {"_mobius_core": (1, 0), "_label_core": (1, 0)})  # x != 0
-@example(_ROOT_BOUNDS, _ROOT_NODE, {"_label_core": (1, 2)})  # den == lo_den + hi_den
 def test_checks_match_the_formulation_before_inlining(bounds, node, outputs):
-    with pytest.MonkeyPatch.context() as patch:
-        for core, value in outputs.items():
-            patch.setattr(mediant.topograph, core, lambda *_, value=value: value)
-        assert mediant.topograph._checks(bounds, node) == _oracle_checks(bounds, node)
+    witness = outputs, (bounds, node)
+    assert first_difference(mediant.topograph, mediant.topograph._checks, _oracle_checks,
+                            [witness]) is None

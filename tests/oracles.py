@@ -1,7 +1,7 @@
 """Reference predicates that tests compare the sweeps' inlined checks against,
 the clause ablations of those checks and the witnesses that decide them, a
-counter of the child-rule calls that grow the trees, and a brute-force best
-approximation."""
+counter of the child-rule calls that grow the trees, a brute-force best
+approximation, and `er`, the tests' short name for ExtendedRational."""
 
 import ast
 import copy
@@ -12,6 +12,10 @@ import pytest
 
 import mediant.trees
 from mediant.rational import ExtendedRational
+
+
+def er(num: int, den: int = 1) -> ExtendedRational:
+    return ExtendedRational(num, den)
 
 
 def _raw_equal(p: int, q: int, r: int, s: int) -> bool:

@@ -33,7 +33,7 @@ from mediant.trees import (
     sb_node,
     sb_row,
 )
-from oracles import brute_best
+from oracles import brute_best, er
 
 
 @contextlib.contextmanager
@@ -44,10 +44,6 @@ def criterion(number, title):
         print(f"ACCEPTANCE {number:02d} FAIL {title}")
         raise
     print(f"ACCEPTANCE {number:02d} PASS {title}")
-
-
-def er(num, den=1):
-    return ExtendedRational(num, den)
 
 
 def test_01_breadth_first_enumeration_literal():

@@ -221,6 +221,8 @@ def test_decompose_rejects_non_members():
 def test_text_form():
     assert str(Mat2(2, 1, 1, 1)) == "[[2,1],[1,1]]"
     assert str(IDENTITY) == "[[1,0],[0,1]]"
+    assert repr(Mat2(2, 1, 1, 1)) == "Mat2(2, 1, 1, 1)"
+    assert repr(Mat2.frame(0, 1, 1, 0)) == "Mat2.frame(0, 1, 1, 0)"
 
 
 def test_mat2_slots_cannot_be_written():

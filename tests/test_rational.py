@@ -4,6 +4,7 @@ import pickle
 import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given
@@ -11,19 +12,16 @@ from hypothesis import strategies as st
 
 from mediant.rational import (
     ExtendedRational,
+    _farey,
     compare,
     farey_sequence,
     is_z_distinct,
     mediant,
 )
-from oracles import _raw_equal
+from oracles import _raw_equal, er
 
 nonzero = st.integers(min_value=-(10**9), max_value=10**9).filter(lambda n: n != 0)
 any_int = st.integers(min_value=-(10**9), max_value=10**9)
-
-
-def er(num, den=1):
-    return ExtendedRational(num, den)
 
 
 def test_reduction_examples():
@@ -172,6 +170,7 @@ def test_mediant_examples():
     assert mediant(er(0, 1), er(1, 0)) == er(1, 1)
     assert mediant(er(1, 1), er(1, 0)) == er(2, 1)
     assert mediant(er(1, 2), er(1, 1)) == er(2, 3)
+    assert mediant(er(1, 0), er(0, 1)) == er(1, 1)
 
 
 def test_mediant_rejects_negative():
@@ -216,6 +215,8 @@ def test_mediant_preserves_z_distinctness(x, y):
 
 
 def test_farey_examples():
+    # read with a bound first, so a generator that never ends fails here
+    assert list(islice(_farey(3), 6)) == [(0, 1), (1, 3), (1, 2), (2, 3), (1, 1)]
     assert farey_sequence(1) == [er(0, 1), er(1, 1)]
     assert farey_sequence(3) == [er(0, 1), er(1, 3), er(1, 2), er(2, 3), er(1, 1)]
     assert len(farey_sequence(5)) == 11

@@ -1,5 +1,4 @@
 import inspect
-import json
 from itertools import product
 
 import pytest
@@ -19,14 +18,10 @@ from mediant.shadows import (
     verify_theorem,
 )
 from mediant.trees import cw_value, sb_node, sb_row, walk
-from oracles import _raw_equal, clause_ablations, compiled, first_difference
+from oracles import _raw_equal, clause_ablations, compiled, er, first_difference
 
 paths = st.text(alphabet="LR", max_size=40)
 _MIRROR = str.maketrans("LR", "RL")
-
-
-def er(num, den=1):
-    return ExtendedRational(num, den)
 
 
 def test_cw_shadow_examples():
@@ -76,51 +71,6 @@ def test_mirror_reflection(p):
     # writing the Farey tree right-to-left swaps the shadow for its reciprocal
     mirrored = from_path(p.translate(_MIRROR))
     assert farey_shadow(from_path(p)) == farey_shadow(mirrored).reciprocal()
-
-
-def test_verify_depth_0():
-    report = verify_theorem(0)
-    assert report.nodes == 1
-    assert report.ok
-    assert report.first_failure_path is None
-
-
-def test_verify_depth_2():
-    report = verify_theorem(2)
-    assert report.nodes == 7
-    assert report.cw_failures == 0 and report.farey_failures == 0
-
-
-def test_verify_depth_9():
-    report = verify_theorem(9)
-    assert report.nodes == 2**10 - 1
-    assert report.ok
-    assert report.elapsed_s >= 0
-
-
-def test_verify_parallel_matches_serial():
-    serial = verify_theorem(8, jobs=1)
-    parallel = verify_theorem(8, jobs=2)
-    for field in ("depth", "nodes", "cw_failures", "farey_failures", "first_failure_path"):
-        assert getattr(serial, field) == getattr(parallel, field)
-
-
-def test_verify_validation():
-    with pytest.raises(ValueError):
-        verify_theorem(-1)
-    with pytest.raises(ValueError):
-        verify_theorem(3, jobs=0)
-
-
-def test_report_serialization():
-    report = verify_theorem(3)
-    doc = json.loads(json.dumps(report.as_dict()))
-    assert doc["depth"] == 3
-    assert doc["nodes"] == 15
-    assert doc["cw_failures"] == 0
-    assert doc["farey_failures"] == 0
-    assert "first_failure_path" not in doc
-    assert doc["elapsed_s"] >= 0
 
 
 def test_verify_reports_injected_fault(monkeypatch):

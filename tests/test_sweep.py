@@ -1,7 +1,9 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 import pickle
+import time
 import tracemalloc
 from collections import Counter
 from functools import partial
@@ -17,8 +19,8 @@ import mediant.topograph
 import mediant.trees
 from mediant.cli import main
 from mediant.matrices import from_path
-from mediant.shadows import verify_theorem
-from mediant.topograph import verify_topograph_proof
+from mediant.shadows import TheoremReport, verify_theorem
+from mediant.topograph import TopographReport, verify_topograph_proof
 from mediant.trees import walk
 from oracles import _count_rule_calls
 
@@ -223,11 +225,64 @@ def test_a_declaration_has_one_flag_per_counter_of_its_report(declaration):
     assert flags == (True,) * len(report.counters())
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+# Every route to the verifiers' reports, as the list it returns: each verifier
+# alone, and both on one walk, as `mediant verify` sweeps them
+ROUTES = {
+    "verify_theorem": lambda depth, jobs: [verify_theorem(depth, jobs)],
+    "verify_topograph_proof": lambda depth, jobs: [verify_topograph_proof(depth, jobs)],
+    "joint-sweep": partial(sweep.sweep, VERIFIERS),
+}
+# a clean report's JSON keys, in field order: no first_failure_path
+KEYS = {
+    TheoremReport: ["depth", "nodes", "cw_failures", "farey_failures", "elapsed_s"],
+    TopographReport: ["depth", "frames", "conjugation_failures", "label_failures",
+                      "mobius_failures", "frame_failures", "elapsed_s"],
+}
+
+
+def _untimed(reports):
+    return [dataclasses.replace(report, elapsed_s=None) for report in reports]
+
+
+@pytest.mark.parametrize("depth", [0, 2, 3, 9])
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_clean_sweep_reports_each_visit_and_no_failure(route, depth):
+    start = time.perf_counter()
+    reports = ROUTES[route](depth, 1)
+    wall = time.perf_counter() - start
+    for report in reports:
+        assert report.ok and report.first_failure_path is None
+        # the walk's own time, inside the call's
+        assert 0 <= report.elapsed_s <= wall
+        counts = [depth, 2 ** (depth + 1) - 1, *[0] * len(report.counters()), report.elapsed_s]
+        doc = json.loads(json.dumps(report.as_dict()))
+        assert list(doc.items()) == list(zip(KEYS[type(report)], counts, strict=True))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_two_jobs_report_what_one_job_does(route):
+    assert _untimed(ROUTES[route](8, 2)) == _untimed(ROUTES[route](8, 1))
+
+
+@pytest.mark.parametrize("depth,jobs", [(-1, 1), (3, 0)], ids=["negative-depth", "no-jobs"])
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_negative_depth_or_no_jobs_is_refused(route, depth, jobs):
+    with pytest.raises(ValueError):
+        ROUTES[route](depth, jobs)
+
+
+def test_the_joint_sweep_is_each_single_sweep_on_one_walk():
+    joint = sweep.sweep(VERIFIERS, 9, 1)
+    assert joint[0].elapsed_s == joint[1].elapsed_s
+    assert _untimed(joint) == _untimed([verify_theorem(9), verify_topograph_proof(9)])
+
+
+@pytest.mark.parametrize("jobs", [None, 1, 2])
 def test_verify_grows_each_tree_once_with_one_pool(monkeypatch, fake_pool, capsys, jobs):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     calls = _count_rule_calls(monkeypatch)
-    assert main(["verify", "--depth", "8", "--jobs", str(jobs)]) == 0
+    assert main(["verify", "--depth", "8", *([] if jobs is None else ["--jobs", str(jobs)])]) == 0
+    jobs = jobs or 1  # left out, --jobs is 1, so two CPUs start no pool
     # per span, for each of the three trees: one call per step of the descent
     # to its prefix, then one per internal node of its subtree (2^8 - 1 in all
     # at jobs 1); a second walk of any tree would double its count

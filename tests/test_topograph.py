@@ -26,11 +26,7 @@ from mediant.topograph import (
     vertex_matrix,
 )
 from mediant.trees import sb_node, walk
-from oracles import _raw_equal, clause_ablations, compiled, first_difference
-
-
-def er(num, den=1):
-    return ExtendedRational(num, den)
+from oracles import _raw_equal, clause_ablations, compiled, er, first_difference
 
 
 ROOT = Vertex(er(0), er(1), er(1, 0))
@@ -134,37 +130,6 @@ def test_forward_tree_children_keep_one_region():
         assert frames[path + "R"].right == f.right
 
 
-@pytest.mark.parametrize("prefix", ["", "LR"])
-def test_forward_tree_is_walk_stably_sorted_by_level(prefix):
-    # with a prefix, walk's shard is the matching part of the whole flow
-    by_level = sorted(walk("stern-brocot", 8, prefix), key=lambda item: len(item[0]))
-    expected = [
-        OrientedVertex(er(ln, ld), er(hn, hd), er(ln + hn, ld + hd), path)
-        for path, (ln, ld, hn, hd) in by_level
-    ]
-    assert [f for f in forward_tree(8) if f.path.startswith(prefix)] == expected
-
-
-def test_forward_tree_is_walk_stably_sorted_by_level_at_depth_12():
-    by_level = sorted(walk("stern-brocot", 12), key=lambda item: len(item[0]))
-    expected = [
-        OrientedVertex(er(ln, ld), er(hn, hd), er(ln + hn, ld + hd), path)
-        for path, (ln, ld, hn, hd) in by_level
-    ]
-    assert list(forward_tree(12)) == expected
-
-
-@pytest.mark.parametrize("span", [1, 2, 3])
-def test_forward_tree_does_not_depend_on_the_span(monkeypatch, span):
-    monkeypatch.setattr("mediant.trees._ROW", 2**span)
-    by_level = sorted(walk("stern-brocot", 7), key=lambda item: len(item[0]))
-    expected = [
-        OrientedVertex(er(ln, ld), er(hn, hd), er(ln + hn, ld + hd), path)
-        for path, (ln, ld, hn, hd) in by_level
-    ]
-    assert list(forward_tree(7)) == expected
-
-
 def test_forward_tree_validates_before_iteration():
     with pytest.raises(ValueError):
         forward_tree(-1)
@@ -233,40 +198,6 @@ def test_wrappers_are_their_cores():
             assert Mat2(*entries)(x) == ExtendedRational(*_mobius_core(*entries, x.num, x.den))
 
 
-def test_verify_depth_0():
-    report = verify_topograph_proof(0)
-    assert report.frames == 1
-    assert report.ok
-    assert report.first_failure_path is None
-
-
-def test_verify_depth_2():
-    report = verify_topograph_proof(2)
-    assert report.frames == 7
-    assert report.ok
-
-
-def test_verify_depth_8():
-    report = verify_topograph_proof(8)
-    assert report.frames == 2**9 - 1
-    assert report.ok
-    assert report.elapsed_s >= 0
-
-
-def test_verify_parallel_matches_serial():
-    serial = verify_topograph_proof(7, jobs=1)
-    parallel = verify_topograph_proof(7, jobs=2)
-    assert serial.frames == parallel.frames
-    assert serial.ok and parallel.ok
-
-
-def test_verify_validation():
-    with pytest.raises(ValueError):
-        verify_topograph_proof(-1)
-    with pytest.raises(ValueError):
-        verify_topograph_proof(2, jobs=0)
-
-
 @pytest.mark.parametrize("path", ["", "L", "RRL", "LRLRLR"])
 def test_frame_is_an_oriented_vertex(path):
     state = next(s for p, s in walk("stern-brocot", len(path)) if p == path)
@@ -281,14 +212,6 @@ def test_frame_is_an_oriented_vertex(path):
     for field in ("left", "right", "forward", "path"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(frame, field, getattr(built, field))
-
-
-def test_report_serialization():
-    doc = verify_topograph_proof(3).as_dict()
-    assert doc["frames"] == 15
-    assert "first_failure_path" not in doc
-    for key in ("conjugation_failures", "label_failures", "mobius_failures", "frame_failures"):
-        assert doc[key] == 0
 
 
 def test_verify_reports_injected_fault(monkeypatch):

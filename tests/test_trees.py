@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mediant.matrices import Mat2, decompose, from_path
 from mediant.rational import ExtendedRational, is_z_distinct, mediant
 from mediant.stern import fusc
+from mediant.topograph import OrientedVertex, forward_tree
 from mediant.trees import (
     MAX_LOCATE_STEPS,
     _ROW,
@@ -31,11 +32,7 @@ from mediant.trees import (
     sb_row,
     walk,
 )
-from oracles import _count_rule_calls, brute_best
-
-
-def er(num, den=1):
-    return ExtendedRational(num, den)
+from oracles import _count_rule_calls, brute_best, er
 
 
 # locate paths are as long as the continued-fraction quotient sum, so keep
@@ -456,42 +453,58 @@ def test_walk_states_match_the_direct_constructions():
                 assert state == _direct_state(kind, path)
 
 
-def _node_value(kind, state):
-    if kind == "calkin-wilf":
+# The level-order products: level_iter of each tree kind, and the flow's
+# frames, forward_tree, which are the Stern-Brocot states
+PRODUCTS = [*KINDS, "forward_tree"]
+
+
+def _level_order(product, depth):
+    """The product to `depth` as (path, value) pairs, in its own order."""
+    if product == "forward_tree":
+        return [(frame.path, frame) for frame in forward_tree(depth)]
+    return [(node.path, node.value) for node in level_iter(product, depth)]
+
+
+def _node_value(product, path, state):
+    if product == "forward_tree":
+        ln, ld, hn, hd = state
+        return OrientedVertex(er(ln, ld), er(hn, hd), er(ln + hn, ld + hd), path)
+    if product == "calkin-wilf":
         return ExtendedRational(*state)
-    if kind == "stern-brocot":
+    if product == "stern-brocot":
         lo_num, lo_den, hi_num, hi_den = state
         return ExtendedRational(lo_num + hi_num, lo_den + hi_den)
     return Mat2(*state)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+def _walk_by_level(product, depth, prefix=""):
+    """walk's states stably sorted by level, as the product's (path, value) pairs."""
+    kind = "stern-brocot" if product == "forward_tree" else product
+    by_level = sorted(walk(kind, depth, prefix), key=lambda item: len(item[0]))
+    return [(path, _node_value(product, path, state)) for path, state in by_level]
+
+
+@pytest.mark.parametrize("product", PRODUCTS)
 @pytest.mark.parametrize("prefix", ["", "LR"])
-def test_level_iter_is_walk_stably_sorted_by_level(kind, prefix):
+def test_level_iter_is_walk_stably_sorted_by_level(product, prefix):
     # with a prefix, walk's shard is the matching part of the whole level order
-    by_level = sorted(walk(kind, 8, prefix), key=lambda item: len(item[0]))
-    expected = [(path, _node_value(kind, state)) for path, state in by_level]
-    got = [(node.path, node.value) for node in level_iter(kind, 8)]
-    assert [item for item in got if item[0].startswith(prefix)] == expected
+    shard = [item for item in _level_order(product, 8) if item[0].startswith(prefix)]
+    assert shard == _walk_by_level(product, 8, prefix)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_level_iter_is_walk_stably_sorted_by_level_at_depth_12(kind):
+@pytest.mark.parametrize("product", PRODUCTS)
+def test_level_iter_is_walk_stably_sorted_by_level_at_depth_12(product):
     # levels 9 to 12 are grown in chunks of 2^8 nodes below nodes of levels 1 to 4
-    by_level = sorted(walk(kind, 12), key=lambda item: len(item[0]))
-    expected = [(path, _node_value(kind, state)) for path, state in by_level]
-    assert [(node.path, node.value) for node in level_iter(kind, 12)] == expected
+    assert _level_order(product, 12) == _walk_by_level(product, 12)
 
 
 @pytest.mark.parametrize("span", [1, 2, 3])
-@pytest.mark.parametrize("kind", KINDS)
-def test_level_iter_does_not_depend_on_the_span(monkeypatch, span, kind):
+@pytest.mark.parametrize("product", PRODUCTS)
+def test_level_iter_does_not_depend_on_the_span(monkeypatch, span, product):
     # at rows of 2 to 8 states, levels `span` + 1 to 7 come in rows that
     # _rows split off, as at the default 256 only levels 9 and up do
     monkeypatch.setattr("mediant.trees._ROW", 2**span)
-    by_level = sorted(walk(kind, 7), key=lambda item: len(item[0]))
-    expected = [(path, _node_value(kind, state)) for path, state in by_level]
-    assert [(node.path, node.value) for node in level_iter(kind, 7)] == expected
+    assert _level_order(product, 7) == _walk_by_level(product, 7)
 
 
 @pytest.mark.parametrize("row", [1, 2, 4, 8, _ROW])

@@ -185,6 +185,13 @@ CATALOGUE = [
         "jobs = jobs",
         ("tests/test_sweep.py::test_run_spans_caps_jobs_at_cpu_count",),
     ),
+    Mutant(
+        "elapsed-adds-start",
+        "src/mediant/_sweep.py",
+        "time.perf_counter() - start, sum(next(columns))",
+        "time.perf_counter() + start, sum(next(columns))",
+        ("tests/test_sweep.py::test_a_clean_sweep_reports_each_visit_and_no_failure",),
+    ),
     # the verifiers' comparisons
     Mutant(
         "frame-raw-first-before-determinant",
@@ -252,6 +259,34 @@ CATALOGUE = [
         "if depth > cap:",
         "if depth >= cap:",
         ("tests/test_cli.py::test_depth_cap",),
+    ),
+    Mutant(
+        "jobs-default-two",
+        "src/mediant/cli.py",
+        '"--jobs", type=int, default=1,',
+        '"--jobs", type=int, default=2,',
+        ("tests/test_sweep.py::test_verify_grows_each_tree_once_with_one_pool[None]",),
+    ),
+    Mutant(
+        "member-repr-names-frame",
+        "src/mediant/matrices.py",
+        "build = Mat2 if self.det == 1 else Mat2.frame",
+        "build = Mat2 if self.det == 2 else Mat2.frame",
+        ("tests/test_matrices.py::test_text_form",),
+    ),
+    Mutant(
+        "mediant-refuses-zero-right",
+        "src/mediant/rational.py",
+        "if x.num < 0 or y.num < 0:",
+        "if x.num < 0 or y.num <= 0:",
+        ("tests/test_rational.py::test_mediant_examples",),
+    ),
+    Mutant(
+        "farey-first-term",
+        "src/mediant/rational.py",
+        "a, b, c, d = 0, 1, 1, max_den",
+        "a, b, c, d = 1, 1, 1, max_den",
+        ("tests/test_rational.py::test_farey_examples",),
     ),
     Mutant(
         "mat2-admits-frames",

@@ -93,6 +93,12 @@ def test_parse_counts_digits_not_the_sign():
         ExtendedRational.parse("-" + "9" * (limit + 1) + "/1")
 
 
+def test_parse_without_a_digit_limit(monkeypatch):
+    # before Python 3.10.7, sys has no get_int_max_str_digits and no limit holds
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert ExtendedRational.parse("-12/34") == er(-6, 17)
+
+
 def test_str_round_trip():
     for v in (er(3, 5), er(-3, 2), er(1, 0), er(0, 1)):
         assert ExtendedRational.parse(str(v)) == v
@@ -117,6 +123,7 @@ def test_infinity_is_greatest():
 
 def test_compare_examples():
     assert compare(er(1, 2), er(2, 3)) == -1
+    assert compare(er(1, 2), er(1, 3)) == 1
     assert compare(er(5, 3), er(5, 3)) == 0
     assert compare(er(7, 2), er(1, 0)) == -1
 

@@ -264,6 +264,13 @@ def test_two_jobs_report_what_one_job_does(route):
     assert _untimed(ROUTES[route](8, 2)) == _untimed(ROUTES[route](8, 1))
 
 
+@pytest.mark.parametrize("verify", [verify_theorem, verify_topograph_proof])
+def test_a_verifier_runs_on_one_job_unless_told_otherwise(monkeypatch, fake_pool, verify):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert verify(8).ok
+    assert fake_pool == []
+
+
 @pytest.mark.parametrize("depth,jobs", [(-1, 1), (3, 0)], ids=["negative-depth", "no-jobs"])
 @pytest.mark.parametrize("route", ROUTES)
 def test_a_negative_depth_or_no_jobs_is_refused(route, depth, jobs):

@@ -316,6 +316,8 @@ def test_best_approximation_tie_breaking():
     # 1/2 is exactly between 0/1 and 1/1; smaller numerator wins
     assert best_approximation(1, 2, 1) == er(0, 1)
     assert best_approximation(3, 2, 1) == er(1, 1)
+    # 5/12 is exactly between 1/3 and 1/2; the smaller denominator wins
+    assert best_approximation(5, 12, 3) == er(1, 2)
 
 
 def test_level_iter_calkin_wilf():
@@ -379,6 +381,7 @@ def test_bfs_index_matches_bit_loop():
 
 
 def test_locate_refuses_paths_over_the_step_cap():
+    assert MAX_LOCATE_STEPS == 10**7  # the cap the README states
     # n/1 sits at R^(n-1) in both trees
     at_cap = er(MAX_LOCATE_STEPS + 1)
     assert cw_locate(at_cap) == sb_locate(at_cap) == "R" * MAX_LOCATE_STEPS

@@ -1,40 +1,62 @@
-"""A catalogue of hand-made mutants of src/mediant, and a runner that shows
-whether the test suite kills each one.
+"""The mutants of src/mediant, and a runner that shows whether the test suite
+kills each one.
 
-Each entry is a one-place text edit of one source file, the tests expected
-to kill it, and, for an equivalent or masked mutant, the reason it is
-expected to survive.  For each entry the runner copies the repository into a
-temporary directory, applies the edit to the copy, runs each named test in
-a pytest call of its own, and then, if they all pass, the whole suite with
--x, less tests/test_mutants.py (which fails on any applied edit).  The
-working tree is never edited.
-
-    python3 tools/mutants.py             # every entry
-    python3 tools/mutants.py NAME ...    # the named entries
-
-One line per entry: killed by every named test, missed by a named test,
-killed only by the wider suite, or survived.  The exit status is 1 when an
-entry's outcome is not the expected one (a mutant that one of its named
-tests misses counts as such), so a stale killer list shows.  Standard
-library only; the copy runs the pytest the current interpreter imports.
-tests/test_mutants.py checks, without running any mutant, that each edit
-still applies exactly once.
-
-The clause ablations of shadows._checks and topograph._checks (an operand of
-an and/or replaced by its unit, True or False, or removed) are left to the
-family the test suite generates from the source on every run
+Two families.  The generated one is every operator mutant that one rule
+makes from the source (`generated`): each + to -, - to +, * to +, // to *,
+<< to >> and >> to <<, each comparison with one operator to its strict or
+non-strict twin and to its negation, and each int literal to itself plus one.
+An edit is spliced into the source text at its node, so comments and quotes
+stay.  The rule skips a + with a string literal operand, which raises at once
+and tests nothing, and the bodies of shadows._checks and topograph._checks,
+whose clause ablations the test suite generates from the source on every run
 (tests/oracles.py, checked in tests/test_shadows.py and
-tests/test_topograph.py); tests/test_mutants.py refuses such an entry here.
+tests/test_topograph.py).  A generated mutant is named by its module, its
+enclosing function, its stripped source line and the edit, with " #2", " #3"
+on repeats, never by a line number, so an edit elsewhere renames nothing.
+The catalogue (CATALOGUE) holds the hand-made edits that no rule expresses:
+reorders, swapped children, render text, dropped imports, wider calls.  Each
+is a one-place text edit of one source file and the tests expected to kill
+it; tests/test_mutants.py refuses an entry that a generator makes.
+
+For each mutant the runner copies the repository into a temporary directory,
+applies the edit to the copy and runs each named test, or for a generated
+mutant its module's own test file, in a pytest call of its own; if they all
+pass, it runs the whole suite with -x, less tests/test_mutants.py (which
+fails on any applied edit).  Every pytest call passes --hypothesis-seed=0,
+so a mutant's outcome repeats from run to run.  A pytest call that runs past
+900 s is ended, and its mutant counts as killed.  Run as a script, the runner
+caps its address space at 2 GiB, and every pytest call inherits the cap, so
+a mutant that grows memory without bound fails with MemoryError in seconds.
+The working tree is never edited.  Mutants run min(os.cpu_count(), number
+chosen) at a time, and their lines print in the order they were chosen.
+
+    python3 tools/mutants.py             # every mutant of both families
+    python3 tools/mutants.py NAME ...    # the named mutants
+
+One line per mutant: killed, missed by a named test, killed only by the
+wider suite, or survived.  The exit status is 1 when a mutant's outcome is
+not the expected one, so a stale killer list shows.  A mutant is expected to
+be killed, by every named test if it has any, unless SURVIVORS lists it with
+the reason it is equivalent.  Standard library only; the copy runs the
+pytest the current interpreter imports.  tests/test_mutants.py checks,
+without running any mutant, that each catalogue edit still applies exactly
+once and that each SURVIVORS key names a mutant still made.
 """
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from bisect import bisect
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,11 +66,105 @@ ROOT = Path(__file__).resolve().parents[1]
 class Mutant(NamedTuple):
     name: str
     file: str  # relative to the repository root
-    old: str  # occurs exactly once under src/
+    old: str  # a catalogue entry's old text occurs exactly once under src/
     new: str
-    killers: tuple[str, ...]  # pytest node ids, each expected to fail
-    survives: str = ""  # why the mutant is equivalent or masked; "" if it must die
+    killers: tuple[str, ...] = ()  # pytest node ids, each expected to fail
+    at: int | None = None  # where a generated edit starts in the file's text
 
+
+# Each operator the rule edits: its text, then each text it becomes.
+_EDITS = {
+    ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "+"), ast.FloorDiv: ("//", "*"),
+    ast.LShift: ("<<", ">>"), ast.RShift: (">>", "<<"),
+    ast.Lt: ("<", "<=", ">="), ast.LtE: ("<=", "<", ">"), ast.Gt: (">", ">=", "<="),
+    ast.GtE: (">=", ">", "<"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
+}
+
+
+def _is_text(node: ast.expr) -> bool:
+    return isinstance(node, ast.JoinedStr) or isinstance(getattr(node, "value", None), str)
+
+
+def generated(file: str, text: str) -> list[Mutant]:
+    """The operator mutants of one source file's text, in source order."""
+    starts = list(accumulate(map(len, text.splitlines(keepends=True)), initial=0))
+
+    def offset(line: int, column: int) -> int:  # ast columns count UTF-8 bytes
+        start = starts[line - 1]
+        return start + len(text[start:starts[line]].encode()[:column].decode())
+
+    def between(left: ast.expr, right: ast.expr, op: str) -> int:
+        # only brackets, blanks, comments and the operator lie between operands
+        lo = offset(left.end_lineno, left.end_col_offset)
+        gap = text[lo:offset(right.lineno, right.col_offset)]
+        return lo + re.sub(r"#.*", lambda comment: " " * len(comment[0]), gap).index(op)
+
+    edits = []  # (enclosing function, offset, old text, new text)
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if child.name != "_checks":
+                    visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.BinOp) and type(child.op) in _EDITS:
+                old, new = _EDITS[type(child.op)]
+                if old != "+" or not (_is_text(child.left) or _is_text(child.right)):
+                    edits.append((where, between(child.left, child.right, old), old, new))
+            elif (isinstance(child, ast.Compare) and len(child.ops) == 1
+                  and type(child.ops[0]) in _EDITS):
+                old, *news = _EDITS[type(child.ops[0])]
+                at = between(child.left, child.comparators[0], old)
+                edits.extend((where, at, old, new) for new in news)
+            elif isinstance(child, ast.Constant) and type(child.value) is int:
+                at = offset(child.lineno, child.col_offset)
+                old = text[at:offset(child.end_lineno, child.end_col_offset)]
+                edits.append((where, at, old, str(child.value + 1)))
+            visit(child, where)
+
+    visit(ast.parse(text), Path(file).stem)
+    seen, family = Counter(), []
+    for where, at, old, new in sorted(edits, key=lambda edit: edit[1]):
+        row = bisect(starts, at) - 1
+        name = f"{where}: {text[starts[row]:starts[row + 1]].strip()} [{old} -> {new}]"
+        seen[name] += 1
+        family.append(Mutant(name + f" #{seen[name]}" * (seen[name] > 1), file, old, new, at=at))
+    return family
+
+
+def generated_family() -> list[Mutant]:
+    """The operator mutants of every source file under src/."""
+    return [mutant for path in sorted((ROOT / "src").rglob("*.py"))
+            for mutant in generated(path.relative_to(ROOT).as_posix(), path.read_text())]
+
+
+def apply(mutant: Mutant, text: str) -> str:
+    """The text of mutant.file with the mutant's edit made."""
+    at = text.index(mutant.old) if mutant.at is None else mutant.at
+    return text[:at] + mutant.new + text[at + len(mutant.old):]
+
+
+# The mutants, of either family, that no test can kill, each with the reason
+# it is equivalent.  A mutant listed here that dies, or one not listed that
+# survives, is unexpected.
+SURVIVORS = {
+    "_sweep.tally: visits += len(rows[0]) [0 -> 1]":
+        "every declaration reads at least two trees, and the rows of one step have one length",
+    "rational.ExtendedRational.__init__: num = 1 [1 -> 2]":
+        "the gcd reduces 2/0 to 1/0; the line only makes an infinity's sign positive",
+    "rational.ExtendedRational.__init__: den = 1 [1 -> 2]":
+        "the gcd reduces 0/2 to 0/1; the line only makes zero's denominator positive",
+    "topograph.Vertex.__init__: for i in range(3): [3 -> 4]":
+        "at i = 3 the inner range(4, 3) is empty, as at i = 2 it already is",
+    "trees: _ZERO = ExtendedRational(0, 1) [1 -> 2]": "the constructor reduces 0/2 to 0/1",
+    "trees: _INF = ExtendedRational(1, 0) [1 -> 2]": "the constructor reduces 2/0 to 1/0",
+    "trees._breadth_first: span = min(depth, _ROW.bit_length() - 1) [- -> +]":
+        "a row holds at most _ROW states, so the suffix lists past 2^span paths are built"
+        " and never read",
+    "trees._breadth_first: suffixes = [list(_level_paths(k)) for k in range(span + 1)] [1 -> 2]":
+        "a row holds at most _ROW states, so the suffix lists past 2^span paths are built"
+        " and never read",
+}
 
 CATALOGUE = [
     # the row engine, the level order, the span engine and the sweep driver
@@ -185,13 +301,6 @@ CATALOGUE = [
         "jobs = jobs",
         ("tests/test_sweep.py::test_run_spans_caps_jobs_at_cpu_count",),
     ),
-    Mutant(
-        "elapsed-adds-start",
-        "src/mediant/_sweep.py",
-        "time.perf_counter() - start, sum(next(columns))",
-        "time.perf_counter() + start, sum(next(columns))",
-        ("tests/test_sweep.py::test_a_clean_sweep_reports_each_visit_and_no_failure",),
-    ),
     # the verifiers' comparisons
     Mutant(
         "frame-raw-first-before-determinant",
@@ -226,13 +335,6 @@ CATALOGUE = [
         ("tests/test_cli.py::test_parse_target",),
     ),
     Mutant(
-        "print-guard-admits-the-limit",
-        "src/mediant/rational.py",
-        "if limit and n >= 10**limit:",
-        "if limit and n > 10**limit:",
-        ("tests/test_cli.py::test_printable_names_the_exact_bit_length",),
-    ),
-    Mutant(
         "parse-int-counts-the-sign",
         "src/mediant/rational.py",
         'count = len(digits) - digits.startswith("-")',
@@ -254,41 +356,6 @@ CATALOGUE = [
         ("tests/test_bench_contract.py::test_render_trees_pass_the_bench_checker",),
     ),
     Mutant(
-        "depth-cap-off-by-one",
-        "src/mediant/cli.py",
-        "if depth > cap:",
-        "if depth >= cap:",
-        ("tests/test_cli.py::test_depth_cap",),
-    ),
-    Mutant(
-        "jobs-default-two",
-        "src/mediant/cli.py",
-        '"--jobs", type=int, default=1,',
-        '"--jobs", type=int, default=2,',
-        ("tests/test_sweep.py::test_verify_grows_each_tree_once_with_one_pool[None]",),
-    ),
-    Mutant(
-        "member-repr-names-frame",
-        "src/mediant/matrices.py",
-        "build = Mat2 if self.det == 1 else Mat2.frame",
-        "build = Mat2 if self.det == 2 else Mat2.frame",
-        ("tests/test_matrices.py::test_text_form",),
-    ),
-    Mutant(
-        "mediant-refuses-zero-right",
-        "src/mediant/rational.py",
-        "if x.num < 0 or y.num < 0:",
-        "if x.num < 0 or y.num <= 0:",
-        ("tests/test_rational.py::test_mediant_examples",),
-    ),
-    Mutant(
-        "farey-first-term",
-        "src/mediant/rational.py",
-        "a, b, c, d = 0, 1, 1, max_den",
-        "a, b, c, d = 1, 1, 1, max_den",
-        ("tests/test_rational.py::test_farey_examples",),
-    ),
-    Mutant(
         "mat2-admits-frames",
         "src/mediant/matrices.py",
         "if a * d - b * c != 1:",
@@ -304,13 +371,6 @@ CATALOGUE = [
             "tests/test_topograph.py::test_forward_tree_root",
             "tests/test_trees.py::test_walk_states_match_the_direct_constructions",
         ),
-    ),
-    Mutant(
-        "approx-tie-strict",
-        "src/mediant/trees.py",
-        "order == 0 and b <= d",
-        "order == 0 and b < d",
-        ("tests/test_trees.py::test_best_approximation_tie_breaking",),
     ),
     Mutant(
         "bfs-index-unchecked",
@@ -377,10 +437,33 @@ _IGNORE = shutil.ignore_patterns(
 )
 
 
+# A mutant can grow memory without bound, as trees._rows does with
+# `while level >= depth`; the whole suite runs in under 1 GiB of address space.
+_MEMORY_CAP = 2 << 30
+
+
+def cap_memory() -> None:
+    """Cap this process's address space at _MEMORY_CAP, for it and its children."""
+    import resource  # POSIX only, so imported where the script needs it
+
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = _MEMORY_CAP if hard == resource.RLIM_INFINITY else min(_MEMORY_CAP, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def own_tests(file: str) -> str:
+    """The test file of a source file's module, tests/test_<module>.py: _sweep's
+    is test_sweep, __init__'s test_package and __main__'s test_cli."""
+    stem = Path(file).stem
+    module = {"__init__": "package", "__main__": "cli"}.get(stem, stem.lstrip("_"))
+    return f"tests/test_{module}.py"
+
+
 def _pytest(tree: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *args],
         cwd=tree, env=env, capture_output=True, text=True, timeout=900,
     )
 
@@ -388,52 +471,64 @@ def _pytest(tree: Path, *args: str) -> subprocess.CompletedProcess:
 def _first_failure(run: subprocess.CompletedProcess) -> str:
     for line in run.stdout.splitlines():
         if line.startswith(("FAILED ", "ERROR ")):
-            return line.split()[1]
+            return line.split(" ", 1)[1].split(" - ", 1)[0]
     return f"exit {run.returncode}"
 
 
 def run(mutant: Mutant) -> tuple[str, bool]:
     """The outcome line of one mutant, and whether it is the expected one."""
+    survives = mutant.name in SURVIVORS
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         tree = Path(scratch) / "repo"
         shutil.copytree(ROOT, tree, ignore=_IGNORE)
         target = tree / mutant.file
         text = target.read_text()
-        if text.count(mutant.old) != 1:
+        if mutant.at is None and text.count(mutant.old) != 1:
             return f"stale: the old text is not in {mutant.file} exactly once", False
-        target.write_text(text.replace(mutant.old, mutant.new))
-        runs = {killer: _pytest(tree, killer) for killer in mutant.killers}
-        missed = [killer for killer, named in runs.items() if named.returncode == 0]
-        if runs and not missed:
-            return f"killed by {', '.join(map(_first_failure, runs.values()))}", not mutant.survives
-        if 0 < len(missed) < len(runs):
-            return f"missed by the named {', '.join(missed)}, which passed", False
-        # the catalogue's own check fails on any applied edit, so it kills nothing
-        suite = _pytest(tree, "--deselect", "tests/test_mutants.py")
+        target.write_text(apply(mutant, text))
+        try:
+            killers = mutant.killers or (own_tests(mutant.file),)
+            runs = {killer: _pytest(tree, killer) for killer in killers}
+            missed = [killer for killer, named in runs.items() if named.returncode == 0]
+            if not missed:
+                return f"killed by {', '.join(map(_first_failure, runs.values()))}", not survives
+            if len(missed) < len(runs):
+                return f"missed by the named {', '.join(missed)}, which passed", False
+            # the catalogue's own check fails on any applied edit, so it kills nothing
+            suite = _pytest(tree, "--deselect", "tests/test_mutants.py")
+        except subprocess.TimeoutExpired as hung:
+            return f"killed by timeout after {hung.timeout:.0f} s", not survives
         if suite.returncode != 0:
-            return f"killed only by the suite, at {_first_failure(suite)}", False
-        return "survived", bool(mutant.survives)
+            expected = not (mutant.killers or survives)
+            return f"killed only by the suite, at {_first_failure(suite)}", expected
+        return "survived", survives
+
+
+def _timed(mutant: Mutant) -> tuple[str, bool, float]:
+    start = time.perf_counter()
+    return (*run(mutant), time.perf_counter() - start)
 
 
 def main(argv: list[str]) -> int:
-    by_name = {m.name: m for m in CATALOGUE}
+    every = generated_family() + CATALOGUE
+    by_name = {m.name: m for m in every}
     unknown = [name for name in argv if name not in by_name]
     if unknown:
         print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    chosen = [by_name[name] for name in argv] or CATALOGUE
+    chosen = [by_name[name] for name in argv] or every
     unexpected = 0
-    for mutant in chosen:
-        start = time.perf_counter()
-        outcome, expected = run(mutant)
-        unexpected += not expected
-        mark = "ok" if expected else "UNEXPECTED"
-        print(f"{mark:10} {mutant.name}: {outcome} ({time.perf_counter() - start:.1f} s)")
-        if mutant.survives:
-            print(f"{'':10} expected to survive: {mutant.survives}")
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(chosen))) as pool:
+        for mutant, (outcome, expected, seconds) in zip(chosen, pool.map(_timed, chosen)):
+            unexpected += not expected
+            mark = "ok" if expected else "UNEXPECTED"
+            print(f"{mark:10} {mutant.name}: {outcome} ({seconds:.1f} s)", flush=True)
+            if mutant.name in SURVIVORS:
+                print(f"{'':10} expected to survive: {SURVIVORS[mutant.name]}", flush=True)
     print(f"{len(chosen)} mutants, {unexpected} unexpected")
     return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
+    cap_memory()
     sys.exit(main(sys.argv[1:]))
